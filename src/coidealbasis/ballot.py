@@ -116,9 +116,6 @@ class StripConfig:
         }
 
 
-_UPPER = ((0, 2), (-1, 1), (1, 1))
-
-
 def _upper_positions(box):
     x, y = box
     return ((x, y + 2), (x - 1, y + 1), (x + 1, y + 1))

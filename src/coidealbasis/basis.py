@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE, ZERO
 from .paths import Shape, eta, kappa_string, kappa_to_index
-from .quantum import TensorVector, pairing, project, psi_iota, psi_pm
+from .quantum import TensorVector, project, psi_iota, psi_pm
 from . import hecke
 
 

@@ -4,9 +4,10 @@ Basis vectors are indexed by sign strings of length N (equivalently lattice
 paths); the generators T_1 .. T_N act by the sign-dependent tables, with T_N
 the special generator acting on the last letter.  The bar involution fixes
 the generating vector (the constant string of the module sign) and conjugates
-scalars through t -> t^-1.  The bar-invariant basis produced here is the
-independent oracle for the strip generating functions and for the transition
-matrices of the canonical bases.
+scalars through t -> t^-1.  The bar-invariant (parabolic Kazhdan-Lusztig)
+basis is built by the C_s recursion of Kazhdan-Lusztig and Deodhar, with
+C_i = T_i + t^-1; it is the independent oracle for the strip generating
+functions and for the transition matrices of the canonical bases.
 
 All scalars live in Z[q, q^-1] via the substitution t = -q.
 """
@@ -55,6 +56,12 @@ def scale_vector(vec: ModuleVector, c) -> ModuleVector:
 class HeckeModule:
     """One of the two parabolic modules, determined by (N, eps).
 
+    kl_basis builds each bar-invariant basis element from a shorter one by
+    the C_s recursion: apply C_i = T_i + t^-1, then subtract the elements
+    whose coefficient kept a constant term.  No bar image is formed on that
+    path; bar_basis and bar_vector give the involution itself, and the tests
+    check with them that every basis element is bar-invariant.
+
     Instances memoize bar images and bar-invariant basis elements, so a given
     instance should be confined to one thread; distinct instances are
     independent.
@@ -80,7 +87,7 @@ class HeckeModule:
         out: ModuleVector = {}
         for path, coeff in vec.items():
             for p2, c2 in self._t_on_basis(i, path):
-                _add_term(out, p2, coeff * c2)
+                _add_term(out, p2, coeff if c2 is ONE else coeff * c2)
         return out
 
     def _t_on_basis(self, i, path):
@@ -113,20 +120,17 @@ class HeckeModule:
 
     # -- combinatorics of the basis ---------------------------------------
 
-    def length(self, path) -> int:
-        """Distance from the generating string in elementary moves."""
-        away = 1 if self.eps == "-" else -1
-        return sum(self.n - pos for pos, s in enumerate(path) if s == away)
-
     def _descent_move(self, path):
-        """A pair (i, lower_path) with T_i lower = path and smaller length."""
+        """A pair (i, lower_path) with T_i lower = path and smaller length.
+
+        Every path other than the generating one has such a move."""
         away = 1 if self.eps == "-" else -1
         if path[-1] == away:
             return self.n, path[:-1] + (-away,)
         for i in range(self.n - 1, 0, -1):
             if path[i - 1] == away and path[i] == -away:
                 return i, path[: i - 1] + (-away, away) + path[i + 1 :]
-        return None
+        raise ArithmeticError(f"path {path} has no descent (N={self.n}, eps={self.eps})")
 
     # -- bar involution ----------------------------------------------------
 
@@ -135,9 +139,7 @@ class HeckeModule:
         cached = self._bar_cache.get(path)
         if cached is not None:
             return cached
-        move = self._descent_move(path)
-        assert move is not None, "non-generating path must admit a descent"
-        i, lower = move
+        i, lower = self._descent_move(path)
         result = self.t_inverse_action(i, self.bar_basis(lower))
         self._bar_cache[path] = result
         return result
@@ -157,22 +159,28 @@ class HeckeModule:
         cached = self._kl_cache.get(beta)
         if cached is not None:
             return cached
-        current = {beta: ONE}
-        # the defect bar(current) - current is maintained incrementally:
-        # adding corr * C_gamma (with C_gamma bar-invariant) shifts it by
-        # (bar(corr) - corr) C_gamma = -r C_gamma.
-        defect = add_vectors(self.bar_basis(beta), {beta: -ONE})
-        while defect:
-            gamma = max(defect, key=self.length)
-            assert gamma != beta, "diagonal coefficient must already be bar-fixed"
-            r = defect[gamma]
-            # r is antisymmetric under bar; its negative-exponent half is the
-            # correction making the gamma-coefficient land in t^-1 Z[t^-1].
-            corr = r.negative_part()
-            assert corr - corr.bar() == r, "defect coefficient is not bar-antisymmetric"
-            lower = self.kl_basis(gamma)
-            current = add_vectors(current, scale_vector(lower, corr))
-            defect = add_vectors(defect, scale_vector(lower, -r))
+        if beta == self.generator_path:
+            current = {beta: ONE}
+        else:
+            # x = C_i C_lower is bar-invariant with coefficient 1 at beta; its
+            # other coefficients have degree <= 0, since those of C_lower lie
+            # in t^-1 Z[t^-1] and T_i raises the degree by at most one.
+            i, lower = self._descent_move(beta)
+            below = self.kl_basis(lower)
+            current = self.t_action(i, below)
+            for path, coeff in below.items():
+                _add_term(current, path, TINV * coeff)
+            # Removing mu * C_gamma clears the constant term mu at gamma and
+            # touches no other constant term, because the off-diagonal
+            # coefficients of C_gamma lie in t^-1 Z[t^-1].
+            mus = [(g, c.coeff(0)) for g, c in current.items() if g != beta and c.coeff(0)]
+            for gamma, mu in mus:
+                for path, coeff in self.kl_basis(gamma).items():
+                    _add_term(current, path, coeff * -mu)
+            if current.get(beta) != ONE:
+                raise ArithmeticError(
+                    f"C_s recursion gave coefficient {current.get(beta)} at {beta}, not 1"
+                )
         self._kl_cache[beta] = current
         return current
 

@@ -303,10 +303,6 @@ Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 
 
-def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    return p.exact_div(d)
-
-
 @lru_cache(maxsize=None)
 def quantum_int(n: int) -> LaurentPoly:
     """The quantum integer [n] = (q^n - q^-n) / (q - q^-1).
@@ -369,11 +365,10 @@ def _to_dense(p: LaurentPoly):
     return v, [p.coeffs.get(e, 0) for e in range(v, d + 1)]
 
 
-def _dense_content(cs):
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
-    return g or 1
+def _primitive(cs):
+    """The coefficient list divided by its (positive) integer content."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def _dense_prem(a, b):
@@ -404,20 +399,18 @@ def poly_gcd(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
         return p
     _, a = _to_dense(p)
     _, b = _to_dense(r)
-    a = [c // _dense_content(a) for c in a]
-    b = [c // _dense_content(b) for c in b]
+    a = _primitive(a)
+    b = _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while True:
         rem = _dense_prem(a, b)
         if not any(rem):
-            g = [c // _dense_content(b) for c in b]
-            poly = LaurentPoly({i: c for i, c in enumerate(g)})
+            poly = LaurentPoly({i: c for i, c in enumerate(b)})
             # strip the monomial factor q^k so gcds stay canonical
             v = poly.valuation()
             return poly.shift(-v) if v else poly
-        rem = [c // _dense_content(rem) for c in rem]
-        a, b = b, rem
+        a, b = b, _primitive(rem)
 
 
 class RationalFn:

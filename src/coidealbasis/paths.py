@@ -280,14 +280,3 @@ def admissible_paths(alpha: Path, gamma: Path, shape: Shape):
         if all(a <= x <= g for a, x, g in zip(ha, hp, hg)):
             out.append(p)
     return out
-
-
-def path_to_json(path: Path):
-    return list(path)
-
-
-def path_from_json(data) -> Path:
-    p = tuple(int(x) for x in data)
-    if any(s not in (1, -1) for s in p):
-        raise ValueError("path steps must be +-1")
-    return p

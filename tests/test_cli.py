@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coidealbasis import coideal
 from coidealbasis.cli import main
 
 
@@ -110,10 +111,30 @@ class TestSubcommands:
         code = main(["diagram", "--shape", "2,2", "--k", "1,1"])
         assert code == 2
 
+    def test_dualbasis_bad_index_exit_code(self, capsys):
+        code = main(["dualbasis", "--shape", "3,3", "--k", "2,2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "invalid input: (2, 2) is not a weight index for shape (3, 3)\n"
+
     def test_verify_small(self, capsys):
         code, out = run(capsys, "verify", "--max-sites", "3")
         assert code == 0
         assert "all checks passed" in out
+
+    def test_verify_honours_max_sites(self, capsys, monkeypatch):
+        seen = []
+        for name in ("spectrum", "psi_solve"):
+            original = getattr(coideal, name)
+
+            def wrapped(shape, *args, _original=original, **kwargs):
+                seen.append(shape.total)
+                return _original(shape, *args, **kwargs)
+
+            monkeypatch.setattr(coideal, name, wrapped)
+        code, out = run(capsys, "verify", "--max-sites", "1")
+        assert code == 0
+        assert seen and max(seen) <= 1
 
     def test_qpoly_spot_value(self, capsys):
         code, out = run(capsys, "qpoly", "--alpha=--++-+", "--beta=++++++",

@@ -4,7 +4,7 @@ for byte.
 
 Each command's standard output is stored as <name>.stdout; its standard
 error, where it writes any, as <name>.stderr.  The files are compared as
-bytes, so the CSV outputs keep their \r\n line ends.  Regenerate them (only
+bytes, so the CSV outputs keep their CRLF line ends.  Regenerate them (only
 when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,14 +23,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = [
     ("klpoly-4-minus-json", ["klpoly", "--n", "4", "--eps", "-", "--format", "json"]),
-    ("qpoly-rule1-ascii", ["qpoly", "--alpha=--++-+", "--beta=++++++", "--rule", "I", "--format", "ascii"]),
-    ("qpoly-rule2-2222", ["qpoly", "--alpha=-+-+-+-+", "--beta=++++++--", "--rule", "II", "--shape", "2,2,2,2"]),
+    ("qpoly-rule1-ascii",
+     ["qpoly", "--alpha=--++-+", "--beta=++++++", "--rule", "I", "--format", "ascii"]),
+    ("qpoly-rule2-2222",
+     ["qpoly", "--alpha=-+-+-+-+", "--beta=++++++--", "--rule", "II", "--shape", "2,2,2,2"]),
     ("dualbasis-33-spade", ["dualbasis", "--shape", "3,3", "--kind", "spade", "--k=-1,-1"]),
     ("rmatrix-22-check-csv", ["rmatrix", "--shape", "2,2", "--check", "--format", "csv"]),
     ("diagram-344", ["diagram", "--shape", "3,4,4", "--k", "1,0,-2"]),
     ("yact-344", ["yact", "--shape", "3,4,4", "--k", "1,0,-2"]),
     ("eigen-22", ["eigen", "--shape", "2,2"]),
-    ("psi-22-routes", ["psi", "--shape", "2,2", "--routes", "elimination,graph,transition,closed"]),
+    ("psi-22-routes",
+     ["psi", "--shape", "2,2", "--routes", "elimination,graph,transition,closed"]),
     ("psi-11-q0", ["psi", "--shape", "1,1", "--q0", "1"]),
     ("sumrule-1-3", ["sumrule", "--m", "1", "--L", "3"]),
     ("sumrule-table-csv", ["sumrule", "--mode", "table", "--m", "3", "--L", "4", "--format", "csv"]),

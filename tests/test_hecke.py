@@ -97,12 +97,14 @@ class TestKLBasis:
                 assert mod.kl_poly(v, v) == ONE
 
     @pytest.mark.parametrize("eps", ["+", "-"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_bar_invariant_and_triangular(self, eps, n):
+        # these properties determine the basis uniquely
         mod = HeckeModule(n, eps)
         for beta in product((1, -1), repeat=n):
             c = mod.kl_basis(beta)
             assert mod.bar_vector(c) == c
+            assert c[beta] == ONE
             for alpha, coeff in c.items():
                 if alpha == beta:
                     continue

@@ -32,6 +32,13 @@ polys = st.dictionaries(
     max_size=5,
 ).map(LaurentPoly)
 
+nonzero_polys = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(LaurentPoly)
+
 
 class TestRing:
     @given(polys, polys, polys)
@@ -158,6 +165,13 @@ class TestRationalFn:
         # both are divisible by [2]
         assert quantum_int(6).exact_div(g) is not None
         assert quantum_int(4).exact_div(g) is not None
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys.filter(lambda g: g.int_content() == 1))
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_divisible_by_common_factor(self, a, b, g):
+        d = poly_gcd(a * g, b * g)
+        d.exact_div(g)  # raises DivisibilityError on a remainder
+        assert d.int_content() == 1
 
 
 class TestTelescoping:
