@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, add_term
 from .paths import Shape, eta, kappa_string, kappa_to_index
 from .quantum import TensorVector, project, psi_iota, psi_pm
 from . import hecke
@@ -70,9 +70,6 @@ class Diagram:
     def index(self):
         """Blockwise sums of the sign string: the weight index."""
         return kappa_to_index(self.kappa(), Shape(self.shape))
-
-    def n_ups(self) -> int:
-        return len(self.ups)
 
     def to_json(self) -> dict:
         return {
@@ -152,17 +149,13 @@ def _expand_blocks(n_sites, pieces) -> TensorVector:
     sites through a list of (sign assignment, coefficient) alternatives; the
     pieces must cover every site exactly once."""
     covered = sorted(s for sites, _ in pieces for s in sites)
-    assert covered == list(range(1, n_sites + 1)), "pieces must tile the sites"
+    if covered != list(range(1, n_sites + 1)):
+        raise ArithmeticError("pieces must tile the sites")
     results = {}
 
     def rec(i, acc, coeff):
         if i == len(pieces):
-            key = tuple(acc)
-            cur = results.get(key, ZERO) + coeff
-            if cur.is_zero():
-                results.pop(key, None)
-            else:
-                results[key] = cur
+            add_term(results, tuple(acc), coeff)
             return
         sites, alternatives = pieces[i]
         for assignment, c in alternatives:
@@ -177,13 +170,17 @@ def _expand_blocks(n_sites, pieces) -> TensorVector:
 MINUS_QINV = -LaurentPoly.q_power(-1)
 
 
-def expand_diagram(d: Diagram) -> TensorVector:
-    """Expand a diagram into the dual standard basis of its shape."""
-    pieces = []
-    for i in sorted(d.ups):
-        pieces.append(((i,), [((1,), ONE)]))
+def _arc_pieces(d: Diagram):
+    """The building blocks of the free ascents and the arcs of a diagram."""
+    pieces = [((i,), [((1,), ONE)]) for i in sorted(d.ups)]
     for i, j in sorted(d.arcs):
         pieces.append(((i, j), [((-1, 1), ONE), ((1, -1), MINUS_QINV)]))
+    return pieces
+
+
+def expand_diagram(d: Diagram) -> TensorVector:
+    """Expand a diagram into the dual standard basis of its shape."""
+    pieces = _arc_pieces(d)
     for i, j in sorted(d.dashed):
         pieces.append(((i, j), [((-1, -1), ONE), ((1, 1), MINUS_QINV)]))
     if d.star is not None:
@@ -194,41 +191,15 @@ def expand_diagram(d: Diagram) -> TensorVector:
     return project(upstairs, Shape(d.shape))
 
 
-def heart_diagram(k, shape: Shape) -> Diagram:
-    """Arcs-only diagram (leftover descents stay plain arrows)."""
-    kappa = kappa_string(k, shape)
-    arcs = []
-    stack = []
-    ups = []
-    for pos, s in enumerate(kappa, start=1):
-        if s == -1:
-            stack.append(pos)
-        else:
-            if stack:
-                arcs.append((stack.pop(), pos))
-            else:
-                ups.append(pos)
-    return Diagram(
-        shape=shape.m,
-        ups=frozenset(ups),
-        arcs=frozenset(arcs),
-        dashed=frozenset(),
-        star=None,
-        unpaired=None,
-    )
-
-
 def heart_vector(k, shape: Shape) -> TensorVector:
-    """Dual canonical element of the full quantum group, by diagram."""
-    d = heart_diagram(k, shape)
-    pieces = []
-    for i in sorted(d.ups):
-        pieces.append(((i,), [((1,), ONE)]))
-    for i, j in sorted(d.arcs):
-        pieces.append(((i, j), [((-1, 1), ONE), ((1, -1), MINUS_QINV)]))
-    down_sites = set(range(1, d.n_sites + 1)) - set(d.ups) - {s for a in d.arcs for s in a}
-    for i in sorted(down_sites):
-        pieces.append(((i,), [((-1,), ONE)]))
+    """Dual canonical element of the full quantum group, by diagram: the arcs
+    and ascents of the coideal diagram, every other site a plain descent."""
+    d = build_diagram(k, shape)
+    pieces = _arc_pieces(d)
+    covered = set(d.ups).union(*d.arcs)
+    for i in range(1, d.n_sites + 1):
+        if i not in covered:
+            pieces.append(((i,), [((-1,), ONE)]))
     upstairs = _expand_blocks(d.n_sites, pieces)
     return project(upstairs, shape)
 
@@ -263,28 +234,25 @@ def solve_fixed_basis(shape: Shape, involution, dual: bool, direction: str):
     idx = shape.indices()
     sign = 1 if direction == "+" else -1
     order = sorted(idx, key=lambda k: tuple(sign * t for t in _linear_key(k)))
-    images = {}
-    for k in idx:
-        images[k] = involution(TensorVector.basis(shape.m, k, dual))
     basis = {}
     rank = {k: i for i, k in enumerate(order)}
     for k in order:
         current = TensorVector.basis(shape.m, k, dual)
-        coeffs = {k: ONE}
-        while True:
-            # image of `current` under the antilinear involution
-            img = TensorVector.zero(shape.m, dual)
-            for idx2, c in current.terms.items():
-                img = img + images[idx2].scale(c.bar())
-            defect = img - current
-            if defect.is_zero():
-                break
-            target = max(defect.terms, key=lambda t: rank[t])
-            assert rank[target] < rank[k], "defect escaped the triangular block"
+        # defect = involution(current) - current.  The involution is
+        # antilinear and fixes every finished element, so adding
+        # corr * basis[t] to current changes the defect by
+        # -(corr - bar(corr)) * basis[t]; the image is formed once.
+        defect = involution(current) - current
+        while not defect.is_zero():
+            target = max(defect.terms, key=rank.__getitem__)
+            if rank[target] >= rank[k]:
+                raise ArithmeticError("defect escaped the triangular block")
             r = defect.terms[target]
             corr = r.negative_part()
-            assert corr - corr.bar() == r, "defect coefficient is not bar-antisymmetric"
+            if corr - corr.bar() != r:
+                raise ArithmeticError("defect coefficient is not bar-antisymmetric")
             current = current + basis[target].scale(corr)
+            defect = defect + basis[target].scale(-r)
         basis[k] = current
     return basis
 

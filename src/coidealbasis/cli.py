@@ -25,7 +25,7 @@ from itertools import product as iproduct
 
 from . import ballot, basis, coideal, hecke
 from .laurent import telescoping_identity_one, telescoping_identity_two
-from .paths import Shape, eta, is_below, parse_path, path_str
+from .paths import Shape, all_shapes, is_below, parse_path, path_str
 
 
 class CheckFailure(Exception):
@@ -293,21 +293,6 @@ def cmd_sumrule(args):
     value = coideal.component_sum_at_one(args.m, args.length)
     _emit(args, {"m": args.m, "L": args.length, "sum": value}, str(value))
     return 0
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def all_shapes(max_sites):
-    for total in range(1, max_sites + 1):
-        for comp in _compositions(total):
-            yield Shape(comp)
 
 
 def cmd_verify(args):

@@ -31,6 +31,7 @@ from .laurent import (
     ONE,
     RationalFn,
     ZERO,
+    add_term,
     quantum_int,
     two_cosh,
 )
@@ -50,21 +51,13 @@ def y_on_standard(vec: TensorVector) -> TensorVector:
     if vec.shape != (1,) * len(vec.shape) or not vec.dual:
         raise ValueError("the string formula acts on dual vectors of V_1 factors")
     out: dict = {}
-
-    def add(idx, c):
-        s = out.get(idx, ZERO) + c
-        if s.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = s
-
     for kappa, coeff in vec.terms.items():
         d = 0
         for i, s in enumerate(kappa):
             flipped = kappa[:i] + (-s,) + kappa[i + 1 :]
-            add(flipped, coeff.shift(d))
+            add_term(out, flipped, coeff.shift(d))
             d += s
-        add(kappa, coeff.shift(d))
+        add_term(out, kappa, coeff.shift(d))
     return TensorVector(vec.shape, True, out)
 
 
@@ -108,7 +101,8 @@ def y_on_diagram(d: Diagram):
         terms.append((quantum_int(n_up + 1), d))
     elif d.unpaired is not None:
         d2 = diagram_from_string(flipped(d.unpaired), shape)
-        assert not _has_intra_block_arc(d2)
+        if _has_intra_block_arc(d2):
+            raise ArithmeticError("flipping the unpaired descent closed an arc inside a block")
         terms.append((quantum_int(n_up + 1), d2))
     return terms
 

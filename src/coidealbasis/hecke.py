@@ -14,7 +14,7 @@ All scalars live in Z[q, q^-1] via the substitution t = -q.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ZERO, ONE
+from .laurent import LaurentPoly, ZERO, ONE, add_term
 
 # t and t - t^-1 under t = -q
 T = LaurentPoly.t_power(1)
@@ -24,24 +24,10 @@ T_MINUS_TINV = T - TINV
 ModuleVector = dict  # path tuple -> LaurentPoly
 
 
-def _add_term(vec, path, coeff):
-    if coeff.is_zero():
-        return
-    cur = vec.get(path)
-    if cur is None:
-        vec[path] = coeff
-    else:
-        s = cur + coeff
-        if s.is_zero():
-            del vec[path]
-        else:
-            vec[path] = s
-
-
 def add_vectors(a: ModuleVector, b: ModuleVector) -> ModuleVector:
     out = dict(a)
     for p, c in b.items():
-        _add_term(out, p, c)
+        add_term(out, p, c)
     return out
 
 
@@ -62,9 +48,12 @@ class HeckeModule:
     path; bar_basis and bar_vector give the involution itself, and the tests
     check with them that every basis element is bar-invariant.
 
-    Instances memoize bar images and bar-invariant basis elements, so a given
-    instance should be confined to one thread; distinct instances are
-    independent.
+    Instances memoize bar images and bar-invariant basis elements without a
+    lock.  The package itself runs in parallel only through processes
+    (COIDEALBASIS_THREADS starts a process pool, each worker with its own
+    instances), so the memo tables are never shared; a caller that uses one
+    instance from several threads must confine it to one of them.  Distinct
+    instances are independent.
     """
 
     def __init__(self, n: int, eps: str):
@@ -87,7 +76,7 @@ class HeckeModule:
         out: ModuleVector = {}
         for path, coeff in vec.items():
             for p2, c2 in self._t_on_basis(i, path):
-                _add_term(out, p2, coeff if c2 is ONE else coeff * c2)
+                add_term(out, p2, coeff if c2 is ONE else coeff * c2)
         return out
 
     def _t_on_basis(self, i, path):
@@ -148,7 +137,7 @@ class HeckeModule:
         out: ModuleVector = {}
         for path, coeff in vec.items():
             for p2, c2 in self.bar_basis(path).items():
-                _add_term(out, p2, coeff.bar() * c2)
+                add_term(out, p2, coeff.bar() * c2)
         return out
 
     # -- bar-invariant basis -------------------------------------------------
@@ -169,14 +158,14 @@ class HeckeModule:
             below = self.kl_basis(lower)
             current = self.t_action(i, below)
             for path, coeff in below.items():
-                _add_term(current, path, TINV * coeff)
+                add_term(current, path, TINV * coeff)
             # Removing mu * C_gamma clears the constant term mu at gamma and
             # touches no other constant term, because the off-diagonal
             # coefficients of C_gamma lie in t^-1 Z[t^-1].
             mus = [(g, c.coeff(0)) for g, c in current.items() if g != beta and c.coeff(0)]
             for gamma, mu in mus:
                 for path, coeff in self.kl_basis(gamma).items():
-                    _add_term(current, path, coeff * -mu)
+                    add_term(current, path, coeff * -mu)
             if current.get(beta) != ONE:
                 raise ArithmeticError(
                     f"C_s recursion gave coefficient {current.get(beta)} at {beta}, not 1"

@@ -49,10 +49,6 @@ class LaurentPoly:
         return LaurentPoly({0: n})
 
     @staticmethod
-    def monomial(coeff: int, exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
-    @staticmethod
     def q_power(exp: int) -> "LaurentPoly":
         return LaurentPoly({exp: 1})
 
@@ -303,6 +299,21 @@ Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 
 
+def add_term(terms: dict, key, coeff: LaurentPoly) -> None:
+    """Add coeff at key in a sparse dict of Laurent polynomials, dropping the
+    entry when it cancels; the accumulator of every vector layer."""
+    cur = terms.get(key)
+    if cur is None:
+        if not coeff.is_zero():
+            terms[key] = coeff
+        return
+    s = cur + coeff
+    if s.is_zero():
+        del terms[key]
+    else:
+        terms[key] = s
+
+
 @lru_cache(maxsize=None)
 def quantum_int(n: int) -> LaurentPoly:
     """The quantum integer [n] = (q^n - q^-n) / (q - q^-1).
@@ -392,25 +403,25 @@ def _dense_prem(a, b):
 
 
 def poly_gcd(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    """A gcd of two Laurent polynomials, primitive and defined up to a monomial."""
+    """A gcd of two Laurent polynomials, primitive and defined up to a monomial.
+
+    The result is normalised to valuation 0; with one argument zero it is the
+    primitive part of the other, and gcd(0, 0) = 0.
+    """
     if p.is_zero():
-        return r
-    if r.is_zero():
-        return p
-    _, a = _to_dense(p)
-    _, b = _to_dense(r)
-    a = _primitive(a)
-    b = _primitive(b)
+        p, r = r, p
+    if p.is_zero():
+        return ZERO
+    a = _primitive(_to_dense(p)[1])
+    b = [] if r.is_zero() else _primitive(_to_dense(r)[1])
     if len(a) < len(b):
         a, b = b, a
-    while True:
-        rem = _dense_prem(a, b)
-        if not any(rem):
-            poly = LaurentPoly({i: c for i, c in enumerate(b)})
-            # strip the monomial factor q^k so gcds stay canonical
-            v = poly.valuation()
-            return poly.shift(-v) if v else poly
-        a, b = b, _primitive(rem)
+    while any(b):
+        a, b = b, _primitive(_dense_prem(a, b))
+    poly = LaurentPoly(dict(enumerate(a)))
+    # strip the monomial factor q^k so gcds stay canonical
+    v = poly.valuation()
+    return poly.shift(-v) if v else poly
 
 
 class RationalFn:
@@ -550,7 +561,8 @@ def telescoping_identity_one(ns, ms) -> bool:
     and m's.  Verified as an exact rational-function identity.
     """
     K = len(ms)
-    assert len(ns) == K
+    if len(ns) != K:
+        raise ValueError("ns and ms must have the same length")
     sn = [sum(ns[:j]) for j in range(K + 1)]
     sm = [sum(ms[:j]) for j in range(K + 1)]
     total = RationalFn.from_int(0)

@@ -74,6 +74,23 @@ class Shape:
         return out
 
 
+def compositions(total):
+    """All ordered tuples of positive integers summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def all_shapes(max_sites, min_sites=1):
+    """Every shape whose total is between min_sites and max_sites, by total."""
+    for total in range(min_sites, max_sites + 1):
+        for comp in compositions(total):
+            yield Shape(comp)
+
+
 def parse_path(text: str) -> Path:
     steps = []
     for ch in text:
@@ -129,7 +146,8 @@ def min_path(a: Path, b: Path) -> Path:
     for h in hm:
         steps.append(h - prev)
         prev = h
-    assert all(s in (1, -1) for s in steps)
+    if any(s not in (1, -1) for s in steps):
+        raise ArithmeticError("the height minimum is not a lattice path")
     return tuple(steps)
 
 

@@ -23,6 +23,7 @@ from .laurent import (
     Q,
     QINV,
     ZERO,
+    add_term,
     quantum_factorial,
     quantum_int,
 )
@@ -59,14 +60,11 @@ class TensorVector:
         return not self.terms
 
     def __add__(self, other):
-        assert self.shape == other.shape and self.dual == other.dual
+        if self.shape != other.shape or self.dual != other.dual:
+            raise ValueError("cannot add vectors of different shapes or bases")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, k, c)
         return TensorVector(self.shape, self.dual, out)
 
     def __sub__(self, other):
@@ -143,7 +141,7 @@ def _act_factor(gen: str, dual: bool, m: int, a: int):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def _act_positions(vec: TensorVector, gen: str, pos_terms) -> TensorVector:
+def _act_positions(vec: TensorVector, pos_terms) -> TensorVector:
     """Apply a sum of terms; each term is a list of (position, generator)."""
     out: dict = {}
     for k, coeff in vec.terms.items():
@@ -159,11 +157,7 @@ def _act_positions(vec: TensorVector, gen: str, pos_terms) -> TensorVector:
                 if not images:
                     break
             for idx, c in images:
-                s = out.get(idx, ZERO) + c
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                add_term(out, idx, c)
     return TensorVector(vec.shape, vec.dual, out)
 
 
@@ -193,7 +187,7 @@ def act(gen: str, vec: TensorVector, cop: str, lo: int = 0, hi: int = None) -> T
     the factor range [lo, hi)."""
     if hi is None:
         hi = len(vec.shape)
-    return _act_positions(vec, gen, _coproduct_terms(gen, cop, lo, hi))
+    return _act_positions(vec, _coproduct_terms(gen, cop, lo, hi))
 
 
 def act_power_divided(gen: str, vec: TensorVector, cop: str, k: int, lo: int = 0, hi: int = None) -> TensorVector:
@@ -337,7 +331,8 @@ def upsilon_coeffs(n_max: int):
         num = defect.coeff((target,))
         dep = x_image_bar(fdiv[j]) - act_power_divided("F", xtop, "+", j)
         den = dep.coeff((target,))
-        assert not den.is_zero(), "series coefficient is not determined"
+        if den.is_zero():
+            raise ArithmeticError("series coefficient is not determined")
         cj = (-num).exact_div(den) if not num.is_zero() else ZERO
         coeffs.append(cj)
     return tuple(coeffs)
@@ -421,13 +416,7 @@ def _project_counted(vec: TensorVector, target: Shape, side: str) -> TensorVecto
             block = kappa[a:b]
             shiftv += sign * _block_inversions(block, side)
             idx.append(sum(block))
-        idx = tuple(idx)
-        c = coeff.shift(shiftv)
-        s = out.get(idx, ZERO) + c
-        if s.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = s
+        add_term(out, tuple(idx), coeff.shift(shiftv))
     return TensorVector(target.m, True, out)
 
 
@@ -472,43 +461,19 @@ def act_y(vec: TensorVector) -> TensorVector:
     """Y = F + q^-1 K E + K acting through its left-coideal comultiplication:
     K's left of a local term (q^-1 KE + F), plus the grouplike tail."""
     n = len(vec.shape)
-    terms = []
+    ke_terms, other_terms = [], []
     for i in range(n):
-        terms.append([(p, "K") for p in range(i)] + [(i, "KE"), ])
-        terms.append([(p, "K") for p in range(i)] + [(i, "F")])
-    terms.append([(p, "K") for p in range(n)])
-    # expand the composite local symbol KE
-    out: dict = {}
-    for k, coeff in vec.terms.items():
-        for term in terms:
-            images = [(k, coeff)]
-            for pos, g in term:
-                nxt = []
-                m = vec.shape[pos]
-                for idx, c in images:
-                    if g == "KE":
-                        for a2, c2 in _act_factor("E", vec.dual, m, idx[pos]):
-                            nxt.append(
-                                (idx[:pos] + (a2,) + idx[pos + 1 :], c * c2 * LaurentPoly.q_power(a2 - 1))
-                            )
-                    else:
-                        for a2, c2 in _act_factor(g, vec.dual, m, idx[pos]):
-                            nxt.append((idx[:pos] + (a2,) + idx[pos + 1 :], c * c2))
-                images = nxt
-                if not images:
-                    break
-            for idx, c in images:
-                s = out.get(idx, ZERO) + c
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-    return TensorVector(vec.shape, vec.dual, out)
+        lefts = [(p, "K") for p in range(i)]
+        ke_terms.append(lefts + [(i, "E"), (i, "K")])
+        other_terms.append(lefts + [(i, "F")])
+    other_terms.append([(p, "K") for p in range(n)])
+    return _act_positions(vec, ke_terms).scale(QINV) + _act_positions(vec, other_terms)
 
 
 def pairing(lower: TensorVector, dual: TensorVector) -> LaurentPoly:
     """The bilinear pairing: the two standard bases are dual to each other."""
-    assert lower.shape == dual.shape and not lower.dual and dual.dual
+    if lower.shape != dual.shape or lower.dual or not dual.dual:
+        raise ValueError("pairing takes a lower and a dual vector of one shape")
     total = ZERO
     small, big = (lower.terms, dual.terms) if len(lower.terms) < len(dual.terms) else (dual.terms, lower.terms)
     for k, c in small.items():

@@ -47,23 +47,8 @@ from coidealbasis.laurent import (
     telescoping_identity_two,
     two_cosh,
 )
-from coidealbasis.paths import Shape, eta, is_below, parse_path
+from coidealbasis.paths import Shape, all_shapes, compositions, eta, is_below, parse_path
 from coidealbasis.quantum import TensorVector, act_y, psi_iota
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def all_shapes(max_sites, min_sites=1):
-    for total in range(min_sites, max_sites + 1):
-        for comp in _compositions(total):
-            yield Shape(comp)
 
 
 def t_pows(*exps):
@@ -168,7 +153,7 @@ def test_criterion_6_positivity():
                     assert c.in_negative_shell() and c.has_nonneg_coeffs(), (shape.m, l, k)
                 checked += 1
     for total in range(2, 7):
-        for comp in _compositions(total):
+        for comp in compositions(total):
             for cut in range(1, len(comp)):
                 s1, s2 = Shape(comp[:cut]), Shape(comp[cut:])
                 for (k, kp), row in tensor_into_spades(s1, s2).items():

@@ -107,12 +107,12 @@ class TestExpansion:
 
 
 class TestSolvedBases:
-    @pytest.mark.parametrize("m", SMALL_SHAPES)
+    @pytest.mark.parametrize("m", SMALL_SHAPES + [(1, 1, 1, 1, 1), (2, 1, 2)])
     def test_spade_diagram_equals_solve(self, m):
         dv, sv = spade_vectors(m), spade_vectors_solved(m)
         assert all(dv[k] == sv[k] for k in dv)
 
-    @pytest.mark.parametrize("m", SMALL_SHAPES)
+    @pytest.mark.parametrize("m", SMALL_SHAPES + [(1, 1, 1, 1, 1), (2, 1, 2)])
     def test_heart_diagram_equals_solve(self, m):
         dv, sv = heart_vectors(m), heart_vectors_solved(m)
         assert all(dv[k] == sv[k] for k in dv)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,19 @@ class TestSubcommands:
         code, out = run(capsys, "verify", "--max-sites", "1")
         assert code == 0
         assert seen and max(seen) <= 1
+
+    def test_verify_under_optimize(self):
+        # python -O strips assert statements, so every invariant the checks
+        # rely on must hold as an explicit exception
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("COIDEALBASIS_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "coidealbasis.cli", "verify", "--max-sites", "4"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "all checks passed\n"
 
     def test_qpoly_spot_value(self, capsys):
         code, out = run(capsys, "qpoly", "--alpha=--++-+", "--beta=++++++",

@@ -243,3 +243,11 @@ class TestPairing:
         w2 = basis((2, 1), (2, -1), dual=True)
         assert pairing(u, w) == ONE
         assert pairing(u, w2) == ZERO
+
+    def test_mismatched_operands_raise(self):
+        u = basis((2, 1), (0, 1))
+        for other in (basis((1, 2), (1, 0)), basis((2, 1), (0, 1), dual=True)):
+            with pytest.raises(ValueError):
+                u + other
+        with pytest.raises(ValueError):
+            pairing(u, u)
