@@ -84,9 +84,9 @@ def compositions(total):
             yield (first,) + rest
 
 
-def all_shapes(max_sites, min_sites=1):
-    """Every shape whose total is between min_sites and max_sites, by total."""
-    for total in range(min_sites, max_sites + 1):
+def all_shapes(max_sites):
+    """Every shape with at most max_sites sites, by total."""
+    for total in range(1, max_sites + 1):
         for comp in compositions(total):
             yield Shape(comp)
 

@@ -169,6 +169,7 @@ class TestRationalFn:
     @given(nonzero_polys, nonzero_polys, nonzero_polys.filter(lambda g: g.int_content() == 1))
     @settings(max_examples=150, deadline=None)
     def test_gcd_divisible_by_common_factor(self, a, b, g):
+        assert poly_gcd(ZERO, ZERO) == ZERO
         # a zero argument leaves the primitive, monomial-free part of the other
         for d in (poly_gcd(a * g, b * g), poly_gcd(ZERO, a * g), poly_gcd(b * g, ZERO)):
             d.exact_div(g)  # raises DivisibilityError on a remainder
