@@ -364,7 +364,7 @@ def rule2_tilings(gamma, beta):
     region = skew_region(gamma, beta)
     tilings = _Search(region, len(gamma), "II").run()
     if len(tilings) > 1:
-        raise AssertionError(
+        raise ArithmeticError(
             f"rule II tiling is not unique for {gamma}/{beta}: {len(tilings)} found"
         )
     return tilings

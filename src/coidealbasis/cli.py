@@ -3,7 +3,7 @@
 Subcommands expose the main computations (Kazhdan-Lusztig tables, strip
 generating functions, basis expansions, transition matrices, diagrams, the
 coideal action, the eigensystem, the top eigenvector and the sum rules) and
-a `verify` subcommand running the property suites at configurable bounds.
+a `verify` subcommand running the checks of `checks` at small bounds.
 
 Outputs are deterministic: indices are emitted in ascending lexicographic
 order and polynomial coefficients in ascending exponent order.  Progress for
@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import ballot, basis, coideal, hecke
-from .laurent import telescoping_identity_one, telescoping_identity_two
-from .paths import Shape, all_shapes, is_below, parse_path, path_str
+from .paths import Shape, parse_path, path_str
 
 
 class CheckFailure(Exception):
@@ -44,10 +43,19 @@ def _parse_index(text: str):
 
 
 def _parse_q0(text: str) -> Fraction:
-    q0 = Fraction(text)
+    try:
+        q0 = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: zero denominator")
     if q0 == 0:
         raise argparse.ArgumentTypeError("q0 must be nonzero")
     return q0
+
+
+def _parse_max_sites(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"max sites must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _jobs() -> int:
@@ -235,19 +243,12 @@ def cmd_psi(args):
         "eigen_ok": rep.eigen_ok,
         "psi": rep.psi.to_json(),
     }
-    lines = [f"{list(k)}: {v}" for k, v in sorted(rep.psi.components.items())]
+    components = sorted(rep.psi.components.items())
+    lines = [f"{list(k)}: {v}" for k, v in components]
     if args.q0 is not None:
-        payload["components_at_q0"] = {
-            " ".join(map(str, k)): str(v.evaluate(args.q0))
-            for k, v in sorted(rep.psi.components.items())
-        }
-        lines.append(
-            f"at q0={args.q0}: "
-            + ", ".join(
-                f"{list(k)}={v.evaluate(args.q0)}"
-                for k, v in sorted(rep.psi.components.items())
-            )
-        )
+        values = [(k, v.evaluate(args.q0)) for k, v in components]
+        payload["components_at_q0"] = {" ".join(map(str, k)): str(x) for k, x in values}
+        lines.append(f"at q0={args.q0}: " + ", ".join(f"{list(k)}={x}" for k, x in values))
     lines.append(f"agreements: {rep.agreements}")
     lines.append(f"eigenvalue equation: {rep.eigen_ok}")
     _emit(args, payload, "\n".join(lines))
@@ -264,30 +265,20 @@ def cmd_sumrule(args):
             rows.append([str(m)] + [str(v) for v in row])
         _emit(args, {"table": table}, _csv_text(rows))
         return 0
-    if args.mode == "pell":
-        ok = True
-        rows = [["m", "sum", "pell_value", "match"]]
-        for m in range(1, args.m + 1):
-            s = coideal.component_sum_at_one(m, 1)
-            p = coideal.pell_sum_value(m)
-            ok = ok and s == p
-            rows.append([str(m), str(s), str(p), str(s == p)])
+    if args.mode in ("pell", "a000902"):
+        pell = args.mode == "pell"
+        rows = [["m", "sum", "pell_value", "match"] if pell else ["L", "sum", "sequence_value", "match"]]
+        for i in range(1, (args.m if pell else args.length) + 1):
+            if pell:
+                s, ref = coideal.component_sum_at_one(i, 1), coideal.pell_sum_value(i)
+            else:
+                _progress(f"summing unit-shape eigenvector components, L={i}")
+                s, ref = coideal.component_sum_at_one(1, i), coideal.bishop_sequence(i + 1)
+            rows.append([str(i), str(s), str(ref), str(s == ref)])
+        ok = all(row[3] == "True" for row in rows[1:])
         _emit(args, {"ok": ok, "rows": rows[1:]}, _csv_text(rows))
         if not ok:
-            raise CheckFailure("length-one sum rule failed")
-        return 0
-    if args.mode == "a000902":
-        ok = True
-        rows = [["L", "sum", "sequence_value", "match"]]
-        for L in range(1, args.length + 1):
-            _progress(f"summing unit-shape eigenvector components, L={L}")
-            s = coideal.component_sum_at_one(1, L)
-            c = coideal.bishop_sequence(L + 1)
-            ok = ok and s == c
-            rows.append([str(L), str(s), str(c), str(s == c)])
-        _emit(args, {"ok": ok, "rows": rows[1:]}, _csv_text(rows))
-        if not ok:
-            raise CheckFailure("unit-shape sum rule failed")
+            raise CheckFailure("length-one sum rule failed" if pell else "unit-shape sum rule failed")
         return 0
     # plain value
     value = coideal.component_sum_at_one(args.m, args.length)
@@ -296,132 +287,40 @@ def cmd_sumrule(args):
 
 
 def cmd_verify(args):
-    failures = []
-    max_sites = args.max_sites
-    jobs = _jobs()
+    from . import checks
 
-    def check(name, ok):
+    n = args.max_sites
+    n4, n5, n6 = min(n, 4), min(n, 5), min(n, 6)
+    jobs = _jobs()
+    units = [Shape((1,) * L) for L in range(1, n6 + 1)]
+    spectra_shapes = [s for s in units + [Shape((2, 2)), Shape((3, 3))] if s.total <= n]
+    psi_shapes = [s for s in units + [Shape((2, 2)), Shape((3, 2))] if s.total <= n]
+    # (progress name, its checks); the acceptance suite runs the same checks
+    # at the release bounds
+    table = [
+        ("telescoping identity (first)", lambda: checks.telescoping_one(3, 2, 2)),
+        ("telescoping identity (second)", lambda: checks.telescoping_two(2, 2, 2)),
+        (f"strip rules match KL oracle (N={n6})", lambda: checks.strip_rules_match_kl(n6)),
+        (f"strip-rule inversion (sites <= {n6})", lambda: checks.inversion(n6, jobs)),
+        (f"transition-matrix routes (sites <= {n5})",
+         lambda: checks.transition_routes(n5), lambda: checks.ballot_matches_kl(n5)),
+        (f"twisted involutions fix the bases (sites <= {n4})", lambda: checks.involutions_fix_bases(n4)),
+        (f"decomposition positivity (sites <= {n5})", lambda: checks.positivity(n5)),
+        (f"diagram action matches module action (sites <= {n6})", lambda: checks.action_consistency(n6)),
+        ("spectral multiplicities", lambda: checks.spectra(spectra_shapes)),
+        ("top eigenvector routes and positivity", lambda: checks.eigenvector_routes(psi_shapes)),
+        ("sum table", lambda: checks.sum_table()),
+        ("length-one sums are Pell values", lambda: checks.pell_rule(12)),
+        ("unit sums follow the bishop sequence", lambda: checks.bishop_rule(min(n + 1, 11))),
+    ]
+    failures = []
+    for name, *calls in table:
+        ok = all(call().ok for call in calls)
         _progress(f"[{'ok' if ok else 'FAIL'}] {name}")
         if not ok:
             failures.append(name)
 
-    # scalar identities
-    ok = True
-    for K in range(1, 4):
-        for ns in iproduct(range(0, 3), repeat=K):
-            for ms in iproduct(range(1, 3), repeat=K):
-                ok = ok and telescoping_identity_one(ns, ms)
-    check("telescoping identity (first)", ok)
-    ok = True
-    for K in range(1, 3):
-        for x in range(0, 3):
-            for z in range(0, 3):
-                for ms in iproduct(range(1, 3), repeat=K):
-                    ok = ok and telescoping_identity_two(x, z, ms)
-    check("telescoping identity (second)", ok)
-
-    # strip generating functions against the parabolic KL oracle
-    nmax = min(max_sites, 6)
-    ok = True
-    modp = hecke.module(nmax, "+")
-    modm = hecke.module(nmax, "-")
-    for a in iproduct((1, -1), repeat=nmax):
-        for b in iproduct((1, -1), repeat=nmax):
-            if is_below(b, a) and ballot.q_polynomial(a, b, "I", "+") != modp.kl_poly(a, b):
-                ok = False
-            if is_below(a, b) and ballot.rule2_weight_sum(a, b) != modm.kl_poly(a, b).subs_neg():
-                ok = False
-    check(f"strip rules match KL oracle (N={nmax})", ok)
-
-    # inversion of the two strip rules
-    ok = True
-    for shape in all_shapes(min(max_sites, 6)):
-        rep = ballot.verify_inversion(shape, jobs=jobs)
-        ok = ok and rep.ok
-    check(f"strip-rule inversion (sites <= {min(max_sites, 6)})", ok)
-
-    # transition matrices: all routes and the bilinear inversion
-    ok = True
-    for shape in all_shapes(min(max_sites, 5)):
-        rep = basis.r_matrices(shape, check_routes=True)
-        ok = ok and rep.ok
-    check(f"transition-matrix routes (sites <= {min(max_sites, 5)})", ok)
-
-    # twisted involutions fix the canonical bases
-    ok = True
-    from .quantum import psi_iota
-
-    for shape in all_shapes(min(max_sites, 4)):
-        for k, v in basis.spade_vectors(shape.m).items():
-            ok = ok and psi_iota(v, "-") == v
-        for k, v in basis.club_vectors(shape.m).items():
-            ok = ok and psi_iota(v, "+") == v
-    check(f"twisted involutions fix the bases (sites <= {min(max_sites, 4)})", ok)
-
-    # positivity of decompositions
-    ok = True
-    for shape in all_shapes(min(max_sites, 5)):
-        for l, row in basis.hearts_into_spades(shape).items():
-            for k, c in row.items():
-                if k == l:
-                    ok = ok and c.is_one()
-                else:
-                    ok = ok and c.in_negative_shell() and c.has_nonneg_coeffs()
-    check(f"decomposition positivity (sites <= {min(max_sites, 5)})", ok)
-
-    # the coideal action: diagrams against the string formula
-    from .quantum import TensorVector, act_y
-
-    ok = True
-    for shape in all_shapes(min(max_sites, 6)):
-        spades = basis.spade_vectors(shape.m)
-        for k, vec in spades.items():
-            image = TensorVector.zero(shape.m, True)
-            for coeff, d2 in coideal.y_on_diagram(basis.build_diagram(k, shape)):
-                image = image + spades[d2.index()].scale(coeff)
-            ok = ok and image == act_y(vec)
-    check(f"diagram action matches module action (sites <= {min(max_sites, 6)})", ok)
-
-    # spectra
-    ok = True
-    for shape in [Shape((1,) * L) for L in range(1, min(max_sites, 6) + 1)] + [
-        Shape((2, 2)),
-        Shape((3, 3)),
-    ]:
-        if shape.total <= max_sites:
-            rep = coideal.spectrum(shape)
-            ok = ok and rep.verified
-    check("spectral multiplicities", ok)
-
-    # the top eigenvector, all routes
-    ok = True
-    for shape in [Shape((1,) * L) for L in range(1, min(max_sites, 6) + 1)] + [
-        Shape((2, 2)),
-        Shape((3, 2)),
-    ]:
-        if shape.total <= max_sites:
-            rep = coideal.psi_solve(shape)
-            ok = ok and rep.ok
-            for v in rep.psi.components.values():
-                ok = ok and v.has_nonneg_coeffs() and v.is_bar_symmetric()
-    check("top eigenvector routes and positivity", ok)
-
-    # sum rules
-    table = coideal.sum_table(3, 3)
-    check("sum table", table == [[3, 10, 38], [8, 92, 1408], [21, 832, 52736]])
-    check(
-        "length-one sums are Pell values",
-        all(coideal.component_sum_at_one(m, 1) == coideal.pell_sum_value(m) for m in range(1, 13)),
-    )
-    check(
-        "unit sums follow the bishop sequence",
-        all(
-            coideal.component_sum_at_one(1, L) == coideal.bishop_sequence(L + 1)
-            for L in range(1, min(max_sites + 2, 12))
-        ),
-    )
-
-    payload = {"max_sites": max_sites, "failures": failures, "ok": not failures}
+    payload = {"max_sites": n, "failures": failures, "ok": not failures}
     _emit(args, payload, "all checks passed" if not failures else f"FAILED: {failures}")
     if failures:
         raise CheckFailure(f"verification failures: {failures}")
@@ -503,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sumrule)
 
     p = common(sub.add_parser("verify", help="run the property suites"))
-    p.add_argument("--max-sites", type=int, default=6)
+    p.add_argument("--max-sites", type=_parse_max_sites, default=6)
     p.set_defaults(func=cmd_verify)
 
     return parser

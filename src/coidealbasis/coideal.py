@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .laurent import (
     LaurentPoly,
@@ -438,35 +439,27 @@ class ClosedFormData:
     pieces: dict
 
     def value(self) -> LaurentPoly:
-        num = ONE
-        for kind, n in self.numerator:
-            num = num * (quantum_int(n) if kind == "qint" else two_cosh(n))
-        den = ONE
-        for kind, n in self.denominator:
-            den = den * (quantum_int(n) if kind == "qint" else two_cosh(n))
-        return num.exact_div(den)
+        return _factor_product(self.numerator).exact_div(_factor_product(self.denominator))
 
     def value_at_one(self) -> int:
-        num = 1
-        den = 1
-        for kind, n in self.numerator:
-            num *= n if kind == "qint" else 2
-        for kind, n in self.denominator:
-            den *= n if kind == "qint" else 2
-        f = Fraction(num, den)
+        f = Fraction(
+            _factor_product(self.numerator, at_one=True), _factor_product(self.denominator, at_one=True)
+        )
         if f.denominator != 1:
             raise ArithmeticError("closed form is not integral at q = 1")
         return f.numerator
 
     def piece_value(self, name: str) -> RationalFn:
         num, den = self.pieces[name]
-        outn = ONE
-        for kind, n in num:
-            outn = outn * (quantum_int(n) if kind == "qint" else two_cosh(n))
-        outd = ONE
-        for kind, n in den:
-            outd = outd * (quantum_int(n) if kind == "qint" else two_cosh(n))
-        return RationalFn(outn, outd)
+        return RationalFn(_factor_product(num), _factor_product(den))
+
+
+def _factor_product(factors, at_one: bool = False):
+    """The product of symbolic factors, ("qint", n) = [n] and
+    ("cosh", i) = q^i + q^-i; at_one gives its plain integer value at q = 1."""
+    if at_one:
+        return prod(n if kind == "qint" else 2 for kind, n in factors)
+    return prod((quantum_int(n) if kind == "qint" else two_cosh(n) for kind, n in factors), start=ONE)
 
 
 def closed_form_data(d: Diagram) -> ClosedFormData:

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from coidealbasis import hecke
+from coidealbasis import ballot, hecke
 from coidealbasis.ballot import (
     StripConfig,
     enumerate_configs,
@@ -15,7 +15,7 @@ from coidealbasis.ballot import (
     skew_region,
     verify_inversion,
 )
-from coidealbasis.laurent import LaurentPoly, ONE, ZERO
+from coidealbasis.laurent import LaurentPoly, ONE
 from coidealbasis.paths import Shape, eta, is_below, parse_path
 
 
@@ -78,6 +78,11 @@ class TestTightRule:
         for g in [a]:
             assert len(rule2_tilings(g, b)) <= 1
 
+    def test_non_unique_tiling_raises(self, monkeypatch):
+        monkeypatch.setattr(ballot._Search, "run", lambda self: [(), ()])
+        with pytest.raises(ArithmeticError, match="not unique"):
+            rule2_tilings(parse_path("--"), parse_path("++"))
+
     def test_oracle_agreement(self):
         # tiling weight equals the minus parabolic KL polynomial with its
         # argument negated, for every comparable pair
@@ -96,7 +101,7 @@ class TestTightRule:
             assert not c.p_units
 
     def test_no_projection_domain_when_paths_agree(self):
-        from coidealbasis.paths import min_path, paths_between, zeta
+        from coidealbasis.paths import zeta
 
         shape = Shape((2, 2))
         k = (2, 2)

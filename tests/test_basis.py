@@ -1,9 +1,6 @@
-from itertools import product
-
 import pytest
 
 from coidealbasis.basis import (
-    Diagram,
     build_diagram,
     club_vectors,
     diagram_from_string,
@@ -12,11 +9,7 @@ from coidealbasis.basis import (
     heart_vectors,
     heart_vectors_solved,
     hearts_into_spades,
-    r_lower_club,
-    r_lower_hecke,
     r_matrices,
-    r_upper_ballot,
-    r_upper_hecke,
     r_upper_spade,
     spade_vectors,
     spade_vectors_solved,

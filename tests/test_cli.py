@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coidealbasis import coideal
+from coidealbasis import checks, coideal
 from coidealbasis.cli import main
 
 
@@ -120,6 +120,27 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "invalid input: (2, 2) is not a weight index for shape (3, 3)\n"
+
+    @pytest.mark.parametrize("command", [
+        "psi --shape 1,1 --q0 1/0", "eigen --shape 1,1 --q0 1/0", "qpoly --alpha=-- --beta=++ --rule I --q0 1/0",
+        "verify --max-sites 0", "verify --max-sites -2", "verify --max-sites 3.5", "verify --max-sites x",
+    ])
+    def test_bad_argument_exit_code(self, capsys, command):
+        # usage and one error line, before any computation or check runs
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        err, name = capsys.readouterr().err, command.split()[0]
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: coidealbasis {name} ")
+        assert err.splitlines()[-1].startswith(f"coidealbasis {name}: error: argument --")
+
+    def test_verify_failed_check_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "sum_table", lambda: checks.CheckReport(1, ["wrong table"]))
+        code = main(["verify", "--max-sites", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "FAILED: ['sum table']\n"
+        assert "[FAIL] sum table\n" in captured.err
 
     def test_verify_small(self, capsys):
         code, out = run(capsys, "verify", "--max-sites", "3")

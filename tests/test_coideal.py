@@ -1,22 +1,18 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from coidealbasis.basis import build_diagram, diagram_from_string, spade_vectors
+from coidealbasis import checks
+from coidealbasis.basis import build_diagram, diagram_from_string
 from coidealbasis.coideal import (
     bishop_sequence,
     case_number,
     closed_form_data,
     component_sum_at_one,
     pell,
-    pell_sum_value,
     psi0_components,
     psi_by_closed_form,
-    psi_by_elimination,
     psi_by_graph,
-    psi_by_transition,
-    psi_closed_form,
     psi_solve,
     spectrum,
     strip_blocks,
@@ -84,14 +80,8 @@ class TestDiagramAction:
         assert d2.kappa() == (1, -1)
 
     def test_consistency_with_module_action(self):
-        for m in [(1, 1), (2,), (2, 1), (1, 1, 1), (2, 2), (3, 2)]:
-            shape = Shape(m)
-            spades = spade_vectors(m)
-            for k in shape.indices():
-                image = TensorVector.zero(m, True)
-                for coeff, d2 in y_on_diagram(build_diagram(k, shape)):
-                    image = image + spades[d2.index()].scale(coeff)
-                assert image == act_y(spades[k])
+        rep = checks.action_consistency(5)
+        assert rep.ok, rep.failures[:3]
 
     def test_entries_are_quantum_integers(self):
         shape = Shape((2, 2))
@@ -175,15 +165,8 @@ class TestPsiRoutes:
 
     @pytest.mark.parametrize("m", [(1, 1, 1), (2, 2), (3, 2)])
     def test_positive_bar_symmetric_leading(self, m):
-        s = Shape(m)
-        psi = psi_by_closed_form(s).components
-        for k, v in psi.items():
-            assert v.has_nonneg_coeffs()
-            assert v.is_bar_symmetric()
-            kappa = build_diagram(k, s).kappa()
-            n = s.total
-            d_k = sum(n - i for i, step in enumerate(kappa) if step == 1)
-            assert v.degree() == d_k and v.leading_coeff() == 1
+        rep = checks.eigenvector_routes([Shape(m)])
+        assert rep.ok, rep.failures[:3]
 
     def test_projection_irrelevant(self):
         # a component equals the component of the block-stripped string
@@ -243,15 +226,13 @@ class TestSumRules:
         assert [pell(n) for n in range(7)] == [0, 1, 2, 5, 12, 29, 70]
 
     def test_length_one_rule(self):
-        for m in range(1, 11):
-            assert component_sum_at_one(m, 1) == pell_sum_value(m)
+        assert checks.pell_rule(10).ok
 
     def test_bishop_sequence_values(self):
         assert [bishop_sequence(n) for n in range(1, 8)] == [1, 3, 10, 38, 156, 692, 3256]
 
     def test_unit_shape_rule(self):
-        for L in range(1, 9):
-            assert component_sum_at_one(1, L) == bishop_sequence(L + 1)
+        assert checks.bishop_rule(8).ok
 
     def test_closed_form_integral_at_one(self):
         s = Shape((3, 3))

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from coidealbasis.laurent import LaurentPoly, ONE, q_binomial
+from coidealbasis.laurent import LaurentPoly, q_binomial
 from coidealbasis.paths import (
     Shape,
     admissible_paths,
