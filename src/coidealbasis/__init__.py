@@ -13,7 +13,6 @@ from .laurent import (
     q_binomial,
     quantum_factorial,
     quantum_int,
-    quantum_numbers,
 )
 from .paths import Shape, parse_path, path_str
 
@@ -27,7 +26,6 @@ __all__ = [
     "q_binomial",
     "quantum_factorial",
     "quantum_int",
-    "quantum_numbers",
 ]
 
 __version__ = "0.1.0"

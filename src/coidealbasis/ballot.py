@@ -23,20 +23,21 @@ Two different stacking disciplines give two families of generating functions:
   filled with specially weighted unit squares.
 
 Weights, written via t = -q: Rule I gives t^-1 per even-tail strip and 1 per
-odd-tail strip; Rule II gives -t^-1 per even-tail strip, 1 per odd-tail strip
-and t^-1 per projection unit square.  The resulting sums match the parabolic
-Kazhdan-Lusztig polynomials computed independently in hecke.py, which is how
-the acceptance suite pins the geometry.
+odd-tail strip; Rule II gives -t^-1 = q^-1 per even-tail strip, 1 per
+odd-tail strip and t^-1 per projection unit square.  The resulting sums match
+the parabolic Kazhdan-Lusztig polynomials computed independently in hecke.py,
+which is how the acceptance suite pins the geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, add_term
 from .paths import (
     Shape,
+    eta_images,
     eta_inverse,
     heights,
     is_below,
@@ -44,10 +45,6 @@ from .paths import (
     paths_between,
     zeta,
 )
-
-WT_EVEN_I = LaurentPoly.t_power(-1)  # t^-1 = -q^-1
-WT_EVEN_II = -LaurentPoly.t_power(-1)  # -t^-1 = q^-1
-WT_PUNIT = LaurentPoly.t_power(-1)
 
 
 def skew_region(alpha, beta):
@@ -88,11 +85,6 @@ class Strip:
         """l = number of descending steps."""
         return (len(self.boxes) - 1 - self.tail) // 2
 
-    def weight(self, rule: str) -> LaurentPoly:
-        if self.tail % 2 == 1:
-            return ONE
-        return WT_EVEN_I if rule == "I" else WT_EVEN_II
-
 
 @dataclass(frozen=True)
 class StripConfig:
@@ -102,12 +94,12 @@ class StripConfig:
     p_units: frozenset = frozenset()
 
     def weight(self, rule: str) -> LaurentPoly:
-        w = ONE
-        for s in self.strips:
-            w = w * s.weight(rule)
-        for _ in self.p_units:
-            w = w * WT_PUNIT
-        return w
+        """t^-e under Rule I and q^-e t^-p under Rule II, for e even-tail
+        strips and p projection unit squares."""
+        e = sum(1 for s in self.strips if s.tail % 2 == 0)
+        if rule == "I":
+            return LaurentPoly.t_power(-e)
+        return LaurentPoly.q_power(-e) * LaurentPoly.t_power(-len(self.p_units))
 
     def to_json(self) -> dict:
         return {
@@ -357,17 +349,18 @@ def rule1_configs(alpha, beta):
     return [StripConfig(strips=t) for t in tilings]
 
 
+@lru_cache(maxsize=None)
 def rule2_tilings(gamma, beta):
     """Rule II tilings of the region between gamma and beta, no projection
-    domain.  There is at most one; the list is empty when the packing rules
-    cannot be met."""
+    domain, memoised per path pair.  There is at most one; the tuple is empty
+    when the packing rules cannot be met."""
     region = skew_region(gamma, beta)
     tilings = _Search(region, len(gamma), "II").run()
     if len(tilings) > 1:
         raise ArithmeticError(
             f"rule II tiling is not unique for {gamma}/{beta}: {len(tilings)} found"
         )
-    return tilings
+    return tuple(tilings)
 
 
 def rule2_configs(alpha, beta, shape: Shape):
@@ -459,50 +452,30 @@ class InversionReport:
 def verify_inversion(shape: Shape, jobs: int = 1) -> InversionReport:
     """Check that Rule I and Rule II generating functions are inverse to each
     other over admissible intermediate paths, for every comparable pair of
-    eta images of the shape."""
-    from .paths import eta_images
-
+    eta images of the shape: each row of R_I R_II must be the unit row."""
     images = eta_images(shape)
-    items = []
-    for _, a, ha in images:
-        for _, c, hc in images:
-            if all(x <= y for x, y in zip(ha, hc)):
-                items.append((a, c))
-
-    failures = []
+    up = {a: [c for _, c, hc in images if all(x <= y for x, y in zip(ha, hc))] for _, a, ha in images}
+    row = partial(_inversion_row, up=up, shape=shape)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for res in ex.map(
-                _inversion_worker,
-                [(a, c, shape.m) for a, c in items],
-                chunksize=64,
-            ):
-                if res is not None:
-                    failures.append(res)
+            rows = list(ex.map(row, up))
     else:
-        for pair in items:
-            res = _inversion_worker((pair[0], pair[1], shape.m))
-            if res is not None:
-                failures.append(res)
-    return InversionReport(shape=shape.m, pairs_checked=len(items), failures=failures)
+        rows = [row(a) for a in up]
+    failures = [f for r in rows for f in r]
+    return InversionReport(shape=shape.m, pairs_checked=sum(map(len, up.values())), failures=failures)
 
 
-def _inversion_worker(args):
-    a, c, shape_m = args
-    shape = Shape(shape_m)
-    from .paths import eta_images, heights
-
-    ha, hc = heights(a), heights(c)
-    total = ZERO
-    for _, b, hb in eta_images(shape):
-        if all(x <= y <= z for x, y, z in zip(ha, hb, hc)):
-            total = total + q_polynomial(a, b, "I", "-", shape) * q_polynomial(
-                b, c, "II", "-", shape
-            )
-    expected = ONE if a == c else ZERO
-    return None if total == expected else (a, c, total)
+def _inversion_row(a, up, shape):
+    """Row a of R_I R_II over the images up[a] above a, as the failures
+    (a, c, entry) where the entry is not that of the unit matrix."""
+    row = {}
+    for b in up[a]:
+        q1 = q_polynomial(a, b, "I", "-", shape)
+        for c in up[b]:
+            add_term(row, c, q1 * q_polynomial(b, c, "II", "-", shape))
+    return [(a, c, row.get(c, ZERO)) for c in up[a] if row.get(c, ZERO) != (ONE if c == a else ZERO)]
 
 
 def render_config(config: StripConfig, n_cols: int) -> str:

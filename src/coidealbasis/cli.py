@@ -52,9 +52,9 @@ def _parse_q0(text: str) -> Fraction:
     return q0
 
 
-def _parse_max_sites(text: str) -> int:
+def _parse_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"max sites must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
@@ -396,13 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psi)
 
     p = common(sub.add_parser("sumrule", help="q=1 component sums and sequences"))
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--L", dest="length", type=int, default=1)
+    p.add_argument("--m", type=_parse_count, default=1)
+    p.add_argument("--L", dest="length", type=_parse_count, default=1)
     p.add_argument("--mode", choices=("value", "table", "pell", "a000902"), default="value")
     p.set_defaults(func=cmd_sumrule)
 
     p = common(sub.add_parser("verify", help="run the property suites"))
-    p.add_argument("--max-sites", type=_parse_max_sites, default=6)
+    p.add_argument("--max-sites", type=_parse_count, default=6)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -348,15 +348,6 @@ def q_binomial(n: int, m: int) -> LaurentPoly:
     return num.exact_div(quantum_factorial(m)).exact_div(quantum_factorial(n - m))
 
 
-def quantum_numbers(n: int, kind: str = "int") -> LaurentPoly:
-    """Quantum integer or factorial, selected by kind ('int' or 'factorial')."""
-    if kind == "int":
-        return quantum_int(n)
-    if kind == "factorial":
-        return quantum_factorial(n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def two_cosh(i: int) -> LaurentPoly:
     """q^i + q^-i, the recurring symmetric factor of eigenvector components."""
     if i == 0:

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from coidealbasis import ballot, hecke
+from coidealbasis import ballot, checks, hecke
 from coidealbasis.ballot import (
     StripConfig,
     enumerate_configs,
@@ -16,7 +16,7 @@ from coidealbasis.ballot import (
     verify_inversion,
 )
 from coidealbasis.laurent import LaurentPoly, ONE
-from coidealbasis.paths import Shape, eta, is_below, parse_path
+from coidealbasis.paths import Shape, eta, eta_images, is_below, parse_path
 
 
 def t_pows(*exps):
@@ -79,6 +79,8 @@ class TestTightRule:
             assert len(rule2_tilings(g, b)) <= 1
 
     def test_non_unique_tiling_raises(self, monkeypatch):
+        # an earlier test may have memoised this pair already
+        ballot.rule2_tilings.cache_clear()
         monkeypatch.setattr(ballot._Search, "run", lambda self: [(), ()])
         with pytest.raises(ArithmeticError, match="not unique"):
             rule2_tilings(parse_path("--"), parse_path("++"))
@@ -130,6 +132,45 @@ class TestInversion:
     def test_inversion(self, shape):
         rep = verify_inversion(Shape(shape))
         assert rep.ok, rep.failures
+
+    def test_corrupted_entry_is_reported(self, monkeypatch):
+        shape = Shape((2, 2))
+        order = sorted(eta_images(shape), key=lambda t: sum(t[2]))
+        bottom, top = order[0][1], order[-1][1]
+        original = ballot.q_polynomial
+
+        def corrupted(alpha, beta, rule, eps, shape=None):
+            value = original(alpha, beta, rule, eps, shape)
+            return value + ONE if (alpha, beta, rule) == (bottom, top, "II") else value
+
+        monkeypatch.setattr(ballot, "q_polynomial", corrupted)
+        rep = verify_inversion(shape)
+        assert rep.pairs_checked == 43
+        assert rep.failures == [(bottom, top, ONE)]
+
+    def test_process_pool_matches_serial(self):
+        shape = Shape((2, 1, 1))
+        serial, pooled = verify_inversion(shape), verify_inversion(shape, jobs=2)
+        assert (pooled.pairs_checked, pooled.failures) == (serial.pairs_checked, serial.failures)
+
+    def test_one_rule2_search_per_path_pair(self, monkeypatch):
+        ballot._q_polynomial_cached.cache_clear()
+        ballot.rule2_tilings.cache_clear()
+        rules, pairs = [], set()
+        search_init, tilings = ballot._Search.__init__, ballot.rule2_tilings
+
+        def recorded_init(self, region, last_col, rule):
+            rules.append(rule)
+            search_init(self, region, last_col, rule)
+
+        def recorded_tilings(gamma, beta):
+            pairs.add((gamma, beta))
+            return tilings(gamma, beta)
+
+        monkeypatch.setattr(ballot._Search, "__init__", recorded_init)
+        monkeypatch.setattr(ballot, "rule2_tilings", recorded_tilings)
+        assert checks.inversion(5).ok
+        assert 0 < rules.count("II") <= len(pairs)
 
     def test_diagonal_term(self):
         shape = Shape((2, 2))

@@ -124,6 +124,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("command", [
         "psi --shape 1,1 --q0 1/0", "eigen --shape 1,1 --q0 1/0", "qpoly --alpha=-- --beta=++ --rule I --q0 1/0",
         "verify --max-sites 0", "verify --max-sites -2", "verify --max-sites 3.5", "verify --max-sites x",
+        "sumrule --mode table --m 0", "sumrule --mode table --m 2 --L 0", "sumrule --mode pell --m 0",
+        "sumrule --mode a000902 --L 0",
     ])
     def test_bad_argument_exit_code(self, capsys, command):
         # usage and one error line, before any computation or check runs

@@ -16,7 +16,6 @@ from coidealbasis.laurent import (
     q_binomial,
     quantum_factorial,
     quantum_int,
-    quantum_numbers,
     two_cosh,
 )
 
@@ -75,7 +74,6 @@ class TestQuantumNumbers:
 
     def test_factorial_three(self):
         assert quantum_factorial(3) == quantum_int(2) * quantum_int(3)
-        assert quantum_numbers(3, "factorial") == quantum_factorial(3)
 
     def test_factorial_negative_rejected(self):
         with pytest.raises(ValueError):
