@@ -401,6 +401,12 @@ def enumerate_configs(alpha, beta, rule: str, eps: str, shape: Shape = None):
 
 @lru_cache(maxsize=None)
 def _q_polynomial_cached(alpha, beta, rule, eps, shape_m):
+    # checked on a miss only: a raised ValueError is not cached, so every
+    # call on an incomparable pair raises
+    if alpha != beta:
+        lo, hi = (alpha, beta) if eps == "-" else (beta, alpha)
+        if not is_below(lo, hi):
+            raise ValueError("paths are not comparable in the requested order")
     shape = Shape(shape_m) if shape_m is not None else None
     configs = enumerate_configs(alpha, beta, rule, eps, shape)
     total = ZERO
@@ -415,10 +421,6 @@ def q_polynomial(alpha, beta, rule: str, eps: str, shape: Shape = None) -> Laure
     Defined when the paths coincide (value 1) or are comparable in the order
     attached to eps; incomparable paths raise ValueError."""
     alpha, beta = tuple(alpha), tuple(beta)
-    if alpha != beta:
-        lo, hi = (alpha, beta) if eps == "-" else (beta, alpha)
-        if not is_below(lo, hi):
-            raise ValueError("paths are not comparable in the requested order")
     shape_m = shape.m if (shape is not None and rule == "II") else None
     return _q_polynomial_cached(alpha, beta, rule, eps, shape_m)
 

@@ -74,8 +74,11 @@ def _emit(args, payload_json, payload_text):
         if not text.endswith("\n"):
             text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -416,8 +419,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # invalid mathematical input (incomparable paths, bad indices, ...)
+    except (ValueError, OverflowError) as exc:
+        # invalid input (incomparable paths, bad indices, sizes too large to
+        # index, an unwritable --out path, ...)
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

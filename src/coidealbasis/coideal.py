@@ -28,13 +28,14 @@ from fractions import Fraction
 from math import prod
 
 from .laurent import (
+    CyclotomicProduct,
     LaurentPoly,
-    ONE,
     RationalFn,
     ZERO,
     add_term,
     quantum_int,
-    two_cosh,
+    quantum_int_factored,
+    two_cosh_factored,
 )
 from .paths import Shape
 from .basis import Diagram, build_diagram, diagram_from_string, r_lower_hecke
@@ -439,27 +440,28 @@ class ClosedFormData:
     pieces: dict
 
     def value(self) -> LaurentPoly:
-        return _factor_product(self.numerator).exact_div(_factor_product(self.denominator))
+        return (_factored(self.numerator) / _factored(self.denominator)).expand()
 
     def value_at_one(self) -> int:
-        f = Fraction(
-            _factor_product(self.numerator, at_one=True), _factor_product(self.denominator, at_one=True)
+        num, den = (
+            prod(n if kind == "qint" else 2 for kind, n in fs) for fs in (self.numerator, self.denominator)
         )
+        f = Fraction(num, den)
         if f.denominator != 1:
             raise ArithmeticError("closed form is not integral at q = 1")
         return f.numerator
 
     def piece_value(self, name: str) -> RationalFn:
         num, den = self.pieces[name]
-        return RationalFn(_factor_product(num), _factor_product(den))
+        return RationalFn(_factored(num).expand(), _factored(den).expand())
 
 
-def _factor_product(factors, at_one: bool = False):
-    """The product of symbolic factors, ("qint", n) = [n] and
-    ("cosh", i) = q^i + q^-i; at_one gives its plain integer value at q = 1."""
-    if at_one:
-        return prod(n if kind == "qint" else 2 for kind, n in factors)
-    return prod((quantum_int(n) if kind == "qint" else two_cosh(n) for kind, n in factors), start=ONE)
+def _factored(factors) -> CyclotomicProduct:
+    """The product of symbolic factors, ("qint", n) = [n] and ("cosh", i) = q^i + q^-i."""
+    return prod(
+        (quantum_int_factored(n) if kind == "qint" else two_cosh_factored(n) for kind, n in factors),
+        start=CyclotomicProduct(1),
+    )
 
 
 def closed_form_data(d: Diagram) -> ClosedFormData:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 
 class DivisibilityError(ArithmeticError):
@@ -536,12 +536,147 @@ def _coerce(x) -> RationalFn:
 
 
 # ---------------------------------------------------------------------------
+# Cyclotomic-factored scalars
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> LaurentPoly:
+    """The cyclotomic polynomial Phi_d(q), from q^d - 1 = prod of Phi_e over e | d."""
+    if d < 1:
+        raise ValueError("cyclotomic polynomials are indexed by d >= 1")
+    proper = prod((cyclotomic(e) for e in range(1, d) if d % e == 0), start=ONE)
+    return LaurentPoly({d: 1, 0: -1}).exact_div(proper)
+
+
+class CyclotomicProduct:
+    """unit * q^shift * prod_d Phi_d(q)^exps[d], with unit 1 or -1, or 0 for zero.
+
+    Products and quotients of quantum integers and of q^i + q^-i stay in this
+    form, where * and / only add or subtract exponents.  The factorisation is
+    unique (the Phi_d are the distinct irreducible factors of q^n - 1), so
+    equality compares the fields, and the value is a Laurent polynomial
+    exactly when no exponent is negative.  Instances are immutable values.
+    """
+
+    __slots__ = ("unit", "shift", "exps")
+
+    def __init__(self, unit: int, shift: int = 0, exps=None):
+        if unit not in (-1, 0, 1):
+            raise ValueError(f"unit must be -1, 0 or 1, got {unit!r}")
+        self.unit = unit
+        self.shift = shift if unit else 0
+        self.exps = {d: e for d, e in exps.items() if e} if unit and exps else {}
+
+    def _combine(self, other, sign):
+        exps = dict(self.exps)
+        for d, e in other.exps.items():
+            s = exps.get(d, 0) + sign * e
+            if s:
+                exps[d] = s
+            else:
+                del exps[d]
+        res = CyclotomicProduct.__new__(CyclotomicProduct)
+        res.unit, res.shift, res.exps = self.unit * other.unit, self.shift + sign * other.shift, exps
+        return res
+
+    def __mul__(self, other):
+        if not (self.unit and other.unit):
+            return CyclotomicProduct(0)
+        return self._combine(other, 1)
+
+    def __truediv__(self, other):
+        if not other.unit:
+            raise ZeroDivisionError("division by a zero cyclotomic product")
+        if not self.unit:
+            return self
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return CyclotomicProduct(-self.unit, self.shift, self.exps)
+
+    def __eq__(self, other):
+        if not isinstance(other, CyclotomicProduct):
+            return NotImplemented
+        return (self.unit, self.shift, self.exps) == (other.unit, other.shift, other.exps)
+
+    def expand(self) -> LaurentPoly:
+        """The value as a Laurent polynomial; DivisibilityError if it is none."""
+        if any(e < 0 for e in self.exps.values()):
+            raise DivisibilityError(f"{self!r} is not a Laurent polynomial")
+        return _expand(self.unit, self.shift, self.exps)
+
+    def __repr__(self):
+        factors = "".join(f" * Phi_{d}^{e}" for d, e in sorted(self.exps.items()))
+        return f"CyclotomicProduct({self.unit} * q^{self.shift}{factors})"
+
+
+def _expand(unit, shift, exps) -> LaurentPoly:
+    """unit * q^shift * prod_d Phi_d(q)^exps[d], for exponents >= 0."""
+    p = LaurentPoly({shift: unit})
+    for d, e in sorted(exps.items()):
+        for _ in range(e):
+            p = p * cyclotomic(d)
+    return p
+
+
+@lru_cache(maxsize=None)
+def quantum_int_factored(n: int) -> CyclotomicProduct:
+    """[n] = q^(1-n) prod Phi_d(q) over d | 2n with d > 2; [0] = 0, [-n] = -[n]."""
+    if n == 0:
+        return CyclotomicProduct(0)
+    if n < 0:
+        return -quantum_int_factored(-n)
+    return CyclotomicProduct(1, 1 - n, {d: 1 for d in range(3, 2 * n + 1) if 2 * n % d == 0})
+
+
+@lru_cache(maxsize=None)
+def two_cosh_factored(i: int) -> CyclotomicProduct:
+    """q^i + q^-i = q^-|i| prod Phi_d(q) over d | 4i with d not dividing 2i, for i != 0."""
+    if i == 0:
+        raise ValueError("q^0 + q^0 = 2 is not a product of cyclotomic polynomials")
+    i = abs(i)
+    return CyclotomicProduct(1, -i, {d: 1 for d in range(1, 4 * i + 1) if 4 * i % d == 0 and 2 * i % d})
+
+
+def sums_equal(left, right) -> bool:
+    """Whether two sums of CyclotomicProducts have the same value.
+
+    The common factor of all nonzero terms takes the least exponent of each
+    Phi_d among them, so every cofactor is a Laurent polynomial; only the
+    cofactors are expanded and added, with no gcd and no division."""
+    terms = [t for t in left if t.unit] + [-t for t in right if t.unit]
+    low = {d: min(t.exps.get(d, 0) for t in terms) for d in set().union(*(t.exps for t in terms))}
+    total = ZERO
+    for t in terms:
+        total = total + _expand(t.unit, t.shift, {d: t.exps.get(d, 0) - e for d, e in low.items()})
+    return total.is_zero()
+
+
+# ---------------------------------------------------------------------------
 # Telescoping quantum-integer identities used by the eigenvector recursion
 # ---------------------------------------------------------------------------
 
 
-def _qi(n: int) -> RationalFn:
-    return RationalFn.from_poly(quantum_int(n))
+def _telescoping_one_terms(ns, ms) -> list:
+    """The left-hand terms of the first identity, for i = 1..K:
+    [1 + n_1+..+n_i][m_i] * prod_{j>i}[1 + s_j + t_j] / prod_{j>=i}[1 + s_j + t_{j-1}],
+    where s_j, t_j are the partial sums of the n's and m's."""
+    K = len(ms)
+    if len(ns) != K:
+        raise ValueError("ns and ms must have the same length")
+    qi = quantum_int_factored
+    sn = [sum(ns[:j]) for j in range(K + 1)]
+    sm = [sum(ms[:j]) for j in range(K + 1)]
+    terms = []
+    for i in range(1, K + 1):
+        term = qi(1 + sn[i]) * qi(ms[i - 1])
+        for j in range(i + 1, K + 1):
+            term = term * qi(1 + sn[j] + sm[j])
+        for j in range(i, K + 1):
+            term = term / qi(1 + sn[j] + sm[j - 1])
+        terms.append(term)
+    return terms
 
 
 def telescoping_identity_one(ns, ms) -> bool:
@@ -549,31 +684,16 @@ def telescoping_identity_one(ns, ms) -> bool:
 
     sum_i [1 + n_1+..+n_i][m_i] * prod_{j>i}[1 + s_j + t_j] / prod_{j>=i}[1 + s_j + t_{j-1}]
     equals [m_1 + ... + m_K], where s_j, t_j are the partial sums of the n's
-    and m's.  Verified as an exact rational-function identity.
+    and m's.  Verified as an exact identity of cyclotomic products.
     """
+    return sums_equal(_telescoping_one_terms(ns, ms), [quantum_int_factored(sum(ms))])
+
+
+def _telescoping_two_terms(x: int, z: int, ms) -> list:
+    """The left-hand terms of the second identity: I_i J_i for i = 1..K,
+    then [2z+2]/[x+1+M] * I_K."""
     K = len(ms)
-    if len(ns) != K:
-        raise ValueError("ns and ms must have the same length")
-    sn = [sum(ns[:j]) for j in range(K + 1)]
-    sm = [sum(ms[:j]) for j in range(K + 1)]
-    total = RationalFn.from_int(0)
-    for i in range(1, K + 1):
-        term = _qi(1 + sn[i]) * _qi(ms[i - 1])
-        for j in range(i + 1, K + 1):
-            term = term * _qi(1 + sn[j] + sm[j])
-        for j in range(i, K + 1):
-            term = term / _qi(1 + sn[j] + sm[j - 1])
-        total = total + term
-    return total == _qi(sm[K])
-
-
-def telescoping_identity_two(x: int, z: int, ms) -> bool:
-    """Check the second telescoping identity (with shifts x and z).
-
-    sum_i I_i J_i + [2z+2]/[x+1+M] * I_K == [2 + 2z + 2M] / [1+x],
-    with M the total of ms and I_i, J_i products of quantum-integer ratios.
-    """
-    K = len(ms)
+    qi = quantum_int_factored
     sm = [sum(ms[:j]) for j in range(K + 1)]
     M = sm[K]
 
@@ -582,18 +702,25 @@ def telescoping_identity_two(x: int, z: int, ms) -> bool:
         return M - sm[j]
 
     def I(i):
-        term = RationalFn.from_int(1)
+        term = CyclotomicProduct(1)
         for j in range(1, i + 1):
-            term = term * _qi(2 + 2 * ms[j - 1] + 2 * z + 2 * tail(j))
-            term = term / _qi(2 + ms[j - 1] + 2 * z + 2 * tail(j))
+            term = term * qi(2 + 2 * ms[j - 1] + 2 * z + 2 * tail(j))
+            term = term / qi(2 + ms[j - 1] + 2 * z + 2 * tail(j))
         return term
 
     def J(i):
-        num = _qi(ms[i - 1]) * _qi(x + 3 + sm[i] + 2 * tail(i) + 2 * z)
-        return num / (_qi(1 + x + sm[i - 1]) * _qi(1 + x + sm[i]))
+        num = qi(ms[i - 1]) * qi(x + 3 + sm[i] + 2 * tail(i) + 2 * z)
+        return num / (qi(1 + x + sm[i - 1]) * qi(1 + x + sm[i]))
 
-    total = RationalFn.from_int(0)
-    for i in range(1, K + 1):
-        total = total + I(i) * J(i)
-    total = total + _qi(2 * z + 2) / _qi(x + 1 + M) * I(K)
-    return total == _qi(2 + 2 * z + 2 * M) / _qi(1 + x)
+    return [I(i) * J(i) for i in range(1, K + 1)] + [qi(2 * z + 2) / qi(x + 1 + M) * I(K)]
+
+
+def telescoping_identity_two(x: int, z: int, ms) -> bool:
+    """Check the second telescoping identity (with shifts x and z).
+
+    sum_i I_i J_i + [2z+2]/[x+1+M] * I_K == [2 + 2z + 2M] / [1+x],
+    with M the total of ms and I_i, J_i products of quantum-integer ratios.
+    """
+    qi = quantum_int_factored
+    rhs = qi(2 + 2 * z + 2 * sum(ms)) / qi(1 + x)
+    return sums_equal(_telescoping_two_terms(x, z, ms), [rhs])

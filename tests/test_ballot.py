@@ -52,6 +52,15 @@ class TestLooseRule:
         assert q_polynomial(a, a, "I", "-") == ONE
         assert enumerate_configs(a, a, "I", "-") == [StripConfig(strips=())]
 
+    def test_incomparable_raises_on_every_call(self):
+        # the check runs inside the memo, which does not store the exception
+        ballot._q_polynomial_cached.cache_clear()
+        a, b = parse_path("+--+"), parse_path("-++-")
+        for eps in ("-", "-", "+", "+"):
+            with pytest.raises(ValueError, match="not comparable"):
+                q_polynomial(a, b, "I", eps)
+        assert ballot._q_polynomial_cached.cache_info().currsize == 0
+
     def test_oracle_agreement(self):
         # loose stacking at eps=+ reproduces the plus parabolic KL polynomials
         for n in range(1, 6):

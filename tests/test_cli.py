@@ -121,17 +121,31 @@ class TestSubcommands:
         assert code == 2
         assert err == "invalid input: (2, 2) is not a weight index for shape (3, 3)\n"
 
-    @pytest.mark.parametrize("command", [
+    USAGE_ERRORS = [
         "psi --shape 1,1 --q0 1/0", "eigen --shape 1,1 --q0 1/0", "qpoly --alpha=-- --beta=++ --rule I --q0 1/0",
         "verify --max-sites 0", "verify --max-sites -2", "verify --max-sites 3.5", "verify --max-sites x",
         "sumrule --mode table --m 0", "sumrule --mode table --m 2 --L 0", "sumrule --mode pell --m 0",
         "sumrule --mode a000902 --L 0",
-    ])
-    def test_bad_argument_exit_code(self, capsys, command):
+    ]
+    # rejected by main's handler, after the arguments parsed
+    INPUT_ERRORS = [
+        "klpoly --n 3 --eps + --out {tmp}/missing/x", "klpoly --n 3 --eps + --out {tmp}",
+        "sumrule --m 1 --L 99999999999999999999",
+    ]
+
+    @pytest.mark.parametrize("command", USAGE_ERRORS + INPUT_ERRORS)
+    def test_bad_argument_exit_code(self, capsys, tmp_path, command):
+        argv = command.format(tmp=tmp_path).split()
+        if command in self.INPUT_ERRORS:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("invalid input: ") and err.count("\n") == 1
+            return
         # usage and one error line, before any computation or check runs
         with pytest.raises(SystemExit) as exc:
-            main(command.split())
-        err, name = capsys.readouterr().err, command.split()[0]
+            main(argv)
+        err, name = capsys.readouterr().err, argv[0]
         assert exc.value.code == 2
         assert err.startswith(f"usage: coidealbasis {name} ")
         assert err.splitlines()[-1].startswith(f"coidealbasis {name}: error: argument --")

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coidealbasis import checks
 from coidealbasis.laurent import (
+    CyclotomicProduct,
     DivisibilityError,
     LaurentPoly,
     ONE,
@@ -12,11 +15,17 @@ from coidealbasis.laurent import (
     QINV,
     RationalFn,
     ZERO,
+    _telescoping_one_terms,
+    _telescoping_two_terms,
+    cyclotomic,
     poly_gcd,
     q_binomial,
     quantum_factorial,
     quantum_int,
+    quantum_int_factored,
+    sums_equal,
     two_cosh,
+    two_cosh_factored,
 )
 
 
@@ -174,6 +183,69 @@ class TestRationalFn:
             assert d.valuation() == 0
 
 
+# ((kind, n), divide): [n] or q^n + q^-n, as a factor or as a divisor
+factors = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("qint"), st.integers(min_value=-12, max_value=12)),
+            st.tuples(st.just("cosh"), st.integers(min_value=-12, max_value=12).filter(bool)),
+        ),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+class TestCyclotomicProduct:
+    def test_cyclotomic_divisor_products(self):
+        for d in range(1, 61):
+            divisors = (cyclotomic(e) for e in range(1, d + 1) if d % e == 0)
+            assert prod(divisors, start=ONE) == LaurentPoly({d: 1, 0: -1})
+            # degree Euler's phi(d), constant term nonzero
+            assert cyclotomic(d).degree() == sum(gcd(k, d) == 1 for k in range(1, d + 1))
+            assert cyclotomic(d).valuation() == 0
+
+    def test_exact_quotient(self):
+        # [6] / [3] = q^3 + q^-3, while [3] / [2] is no Laurent polynomial
+        qi = quantum_int_factored
+        assert qi(6) / qi(3) == two_cosh_factored(3)
+        assert (qi(6) / qi(3)).expand() == two_cosh(3)
+        with pytest.raises(DivisibilityError):
+            (qi(3) / qi(2)).expand()
+        with pytest.raises(ZeroDivisionError):
+            qi(3) / qi(0)
+
+    @given(factors)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rational_route(self, fs):
+        f, r = CyclotomicProduct(1), RationalFn.from_int(1)
+        for (kind, n), divide in fs:
+            fa = quantum_int_factored(n) if kind == "qint" else two_cosh_factored(n)
+            ra = RationalFn.from_poly(quantum_int(n) if kind == "qint" else two_cosh(n))
+            if not divide:
+                f, r = f * fa, r * ra
+            elif ra.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    f / fa
+                return
+            else:
+                f, r = f / fa, r / ra
+        try:
+            expected = r.as_poly()
+        except DivisibilityError:
+            with pytest.raises(DivisibilityError):
+                f.expand()
+        else:
+            assert f.expand() == expected
+
+    def test_sums_equal(self):
+        qi = quantum_int_factored
+        # [2][3] = [4] + [2], and the zero [0] drops out of either side
+        assert sums_equal([qi(2) * qi(3), qi(0)], [qi(4), qi(2)])
+        assert not sums_equal([qi(2) * qi(3)], [qi(4)])
+        assert sums_equal([qi(3) / qi(2), -(qi(3) / qi(2))], [])
+
+
 class TestTelescoping:
     # the checks count their cases, so these also pin how many they cover
     def test_first_identity_small(self):
@@ -183,6 +255,21 @@ class TestTelescoping:
     def test_second_identity_small(self):
         rep = checks.telescoping_two(2, 2, 2)
         assert rep.ok and rep.count == 54, rep.failures[:3]
+
+    def test_wrong_right_hand_sides_rejected(self):
+        # the K <= 2 grid of criterion 11, with [M+1] for [M] and
+        # [2 + 2z + 2M + 2] for [2 + 2z + 2M]
+        qi, cases = quantum_int_factored, 0
+        for ms in (ms for K in (1, 2) for ms in product(range(1, 4), repeat=K)):
+            M = sum(ms)
+            for ns in product(range(4), repeat=len(ms)):
+                assert not sums_equal(_telescoping_one_terms(ns, ms), [qi(M + 1)]), (ns, ms)
+                cases += 1
+            for x, z in product(range(4), repeat=2):
+                wrong = qi(2 + 2 * z + 2 * M + 2) / qi(1 + x)
+                assert not sums_equal(_telescoping_two_terms(x, z, ms), [wrong]), (x, z, ms)
+                cases += 1
+        assert cases == 156 + 192
 
     def test_two_cosh(self):
         assert two_cosh(0) == LaurentPoly.from_int(2)
