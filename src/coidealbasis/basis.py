@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE, ZERO, add_term
-from .paths import Shape, eta, kappa_string, kappa_to_index
+from .paths import Shape, eta, eta_images, kappa_string, kappa_to_index
 from .quantum import TensorVector, project, psi_iota, psi_pm
 from . import hecke
 
@@ -340,18 +340,16 @@ def _matrix_from_vectors(shape: Shape, vectors: dict) -> TransitionMatrix:
 def r_lower_hecke(shape: Shape) -> TransitionMatrix:
     """Expansion of the plus-side basis over the lower standard basis, from
     the parabolic Kazhdan-Lusztig oracle evaluated at plain q^-1."""
-    from .paths import eta_inverse
-
-    idx = tuple(shape.indices())
+    images = eta_images(shape)
+    index_of = {path: k for k, path, _ in images}
     mod = hecke.module(shape.total, "+")
     entries = {}
-    for col in idx:
-        beta = eta(col, shape)
+    for col, beta, _ in images:
         for alpha, p in mod.kl_basis(beta).items():
-            row = eta_inverse(alpha, shape)
+            row = index_of.get(alpha)
             if row is not None and not p.is_zero():
                 entries[(row, col)] = p.subs_neg()
-    return TransitionMatrix(indices=idx, entries=entries)
+    return TransitionMatrix(indices=tuple(shape.indices()), entries=entries)
 
 
 def r_lower_club(shape: Shape) -> TransitionMatrix:
@@ -369,21 +367,18 @@ def r_upper_ballot(shape: Shape) -> TransitionMatrix:
     """The same matrix from strip generating functions (tight stacking rule),
     evaluated at plain q^-1."""
     from .ballot import q_polynomial
-    from .paths import is_below
 
-    idx = tuple(shape.indices())
+    images = eta_images(shape)
     entries = {}
-    for col in idx:
-        beta = eta(col, shape)
-        for row in idx:
-            alpha = eta(row, shape)
+    for col, beta, hb in images:
+        for row, alpha, ha in images:
             if alpha == beta:
                 entries[(row, col)] = ONE
-            elif is_below(alpha, beta):
+            elif all(x <= y for x, y in zip(ha, hb)):  # alpha below beta
                 val = q_polynomial(alpha, beta, "II", "-", shape).subs_neg()
                 if not val.is_zero():
                     entries[(row, col)] = val
-    return TransitionMatrix(indices=idx, entries=entries)
+    return TransitionMatrix(indices=tuple(shape.indices()), entries=entries)
 
 
 def r_upper_hecke(shape: Shape) -> TransitionMatrix:
@@ -424,6 +419,14 @@ class RMatrixReport:
         return not self.route_failures and not self.inversion_failures
 
 
+def _columns(mat: TransitionMatrix) -> dict:
+    """The matrix as sparse columns: col -> {row: entry}."""
+    cols = {}
+    for (row, col), v in mat.entries.items():
+        cols.setdefault(col, {})[row] = v
+    return cols
+
+
 def r_matrices(shape: Shape, check_routes: bool = True) -> RMatrixReport:
     """Both transition matrices with cross-route and inversion checks.
 
@@ -437,26 +440,25 @@ def r_matrices(shape: Shape, check_routes: bool = True) -> RMatrixReport:
     upper = r_upper_spade(shape)
     route_failures = []
     if check_routes:
-        for name, other in (
-            ("lower/club-solve", r_lower_club(shape)),
-            ("upper/ballot", r_upper_ballot(shape)),
-            ("upper/projected-kl", r_upper_hecke(shape)),
+        for name, ref, other in (
+            ("lower/club-solve", lower, r_lower_club(shape)),
+            ("upper/ballot", upper, r_upper_ballot(shape)),
+            ("upper/projected-kl", upper, r_upper_hecke(shape)),
         ):
-            ref = lower if name.startswith("lower") else upper
-            for r in idx:
-                for c in idx:
-                    if ref.entry(r, c) != other.entry(r, c):
-                        route_failures.append((name, r, c))
+            # an entry missing from both matrices is zero in both
+            for r, c in sorted(ref.entries.keys() | other.entries.keys()):
+                if ref.entry(r, c) != other.entry(r, c):
+                    route_failures.append((name, r, c))
+    lower_cols, upper_cols = _columns(lower), _columns(upper)
     inversion_failures = []
     for l in idx:
+        lower_col = lower_cols.get(l, {})
         for lp in idx:
+            upper_col = upper_cols.get(lp, {})
             total = ZERO
-            for k in idx:
-                a = lower.entry(k, l)
-                if a.is_zero():
-                    continue
-                b = upper.entry(k, lp)
-                if not b.is_zero():
+            for k, a in lower_col.items():
+                b = upper_col.get(k)
+                if b is not None:
                     total = total + a * b
             expected = ONE if l == lp else ZERO
             if total != expected:

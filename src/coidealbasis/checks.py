@@ -12,7 +12,7 @@ from itertools import product
 
 from . import ballot, basis, coideal, hecke
 from .laurent import ONE, ZERO, quantum_int, telescoping_identity_one, telescoping_identity_two
-from .paths import Shape, all_shapes, eta, is_below
+from .paths import Shape, all_shapes, eta_images, is_below
 from .quantum import TensorVector, act_y, psi_iota
 
 
@@ -89,12 +89,11 @@ def ballot_matches_kl(max_sites: int) -> CheckReport:
     for shape in all_shapes(max_sites):
         lower_kl = basis.r_lower_hecke(shape)
         upper_ballot, upper_kl = basis.r_upper_ballot(shape), basis.r_upper_hecke(shape)
-        for r, c in product(shape.indices(), repeat=2):
+        for (r, a, ha), (c, b, hb) in product(eta_images(shape), repeat=2):
             rep.record(upper_ballot.entry(r, c) == upper_kl.entry(r, c), ("upper", shape.m, r, c))
-            a, b = eta(r, shape), eta(c, shape)
             if a == b:
                 lower = ONE
-            elif is_below(b, a):  # a above b: comparable for the plus order
+            elif all(x >= y for x, y in zip(ha, hb)):  # a above b: comparable for the plus order
                 lower = ballot.q_polynomial(a, b, "I", "+").subs_neg()
             else:
                 lower = ZERO

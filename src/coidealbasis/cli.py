@@ -260,7 +260,29 @@ def cmd_psi(args):
     return 0
 
 
+# The most weight indices one sumrule call may enumerate: the sum for (m, L)
+# runs over the (m+1)^L indices of the shape (m,)*L.
+SUMRULE_MAX_INDICES = 2 ** 24
+
+
+def _sumrule_sizes(args):
+    """The (m, L) pairs whose sums a sumrule call computes."""
+    if args.mode == "table":
+        return ((m, L) for m in range(1, args.m + 1) for L in range(1, args.length + 1))
+    if args.mode == "pell":
+        return ((m, 1) for m in range(1, args.m + 1))
+    if args.mode == "a000902":
+        return ((1, L) for L in range(1, args.length + 1))
+    return [(args.m, args.length)]
+
+
 def cmd_sumrule(args):
+    count = 0
+    for m, length in _sumrule_sizes(args):
+        # (m+1)^L exceeds the limit once L > 24, so the power stays small
+        count += (m + 1) ** min(length, 25)
+        if count > SUMRULE_MAX_INDICES:
+            raise ValueError(f"sumrule would enumerate more than {SUMRULE_MAX_INDICES} weight indices")
     if args.mode == "table":
         table = coideal.sum_table(args.m, args.length)
         rows = [["m\\L"] + [str(L) for L in range(1, args.length + 1)]]

@@ -427,17 +427,24 @@ def psi_by_transition(shape: Shape) -> PsiVector:
 class ClosedFormData:
     """The ingredients of the product formula for one diagram.
 
-    numerator and denominator are lists of symbolic factors, each ("qint", n)
-    or ("cosh", i) standing for the quantum integer [n] or q^i + q^-i; the
-    named quantities record the intermediate counts for inspection.
+    pieces maps each named piece of the formula, in formula order, to its
+    (numerator, denominator) lists of symbolic factors, each ("qint", n) or
+    ("cosh", i) standing for the quantum integer [n] or q^i + q^-i; the named
+    quantities record the intermediate counts for inspection.
     """
 
     n2: int
     n3: int
     n4: int
-    numerator: list
-    denominator: list
     pieces: dict
+
+    @property
+    def numerator(self) -> list:
+        return [f for num, _ in self.pieces.values() for f in num]
+
+    @property
+    def denominator(self) -> list:
+        return [f for _, den in self.pieces.values() for f in den]
 
     def value(self) -> LaurentPoly:
         return (_factored(self.numerator) / _factored(self.denominator)).expand()
@@ -446,10 +453,10 @@ class ClosedFormData:
         num, den = (
             prod(n if kind == "qint" else 2 for kind, n in fs) for fs in (self.numerator, self.denominator)
         )
-        f = Fraction(num, den)
-        if f.denominator != 1:
+        quot, rem = divmod(num, den)
+        if rem:
             raise ArithmeticError("closed form is not integral at q = 1")
-        return f.numerator
+        return quot
 
     def piece_value(self, name: str) -> RationalFn:
         num, den = self.pieces[name]
@@ -508,23 +515,16 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
     n3 = len(s_m) + len(dashed)
     n4 = n - len(arcs) + len(s_r) + len(s_m) + len(s_l) + 1
 
-    num = []
-    den = []
-    pieces = {}
-
-    def record(name, local_num, local_den):
-        pieces[name] = (list(local_num), list(local_den))
-        num.extend(local_num)
-        den.extend(local_den)
+    pieces = {}  # name -> (numerator, denominator), in formula order
 
     # overall arc-size prefactor
-    record("prefactor", [], [("qint", size(a)) for a in arcs])
+    pieces["prefactor"] = ([], [("qint", size(a)) for a in arcs])
 
     # starred ratio (only without an unpaired descent)
     if star is not None and n1 == 0:
-        record("n5", [("qint", n4)], [("qint", n3 + 1)])
+        pieces["n5"] = ([("qint", n4)], [("qint", n3 + 1)])
     else:
-        record("n5", [], [])
+        pieces["n5"] = ([], [])
 
     # boundary ratio over the outer arcs of the middle and left zones
     zone = s_m_plus if n1 else (s_l_plus + s_m_plus)
@@ -534,9 +534,16 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
         d1 = n - a[1]
         ln.append(("qint", 1 + m_a + d1))
         ld.append(("qint", 1 + 2 * m_a + d1))
-    record("n6", ln, ld)
+    pieces["n6"] = (ln, ld)
 
-    # right-zone ratio
+    # right-zone ratio; the counts c_b depend only on the middle zone
+    c_bs = [
+        1
+        + sum(1 for a2 in s_m if a2 != b and a2[0] > b[1])
+        + sum(1 for a2 in s_m if a2 != b and a2[0] < b[0] and b[1] < a2[1])
+        + sum(1 for t in dashed if t[0] > b[1])
+        for b in s_m
+    ]
     ln, ld = [], []
     for a in s_r_plus:
         m_a = size(a)
@@ -544,14 +551,10 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
         for i in range(n3 + 1):
             ln.append(("qint", d2 + i))
             ld.append(("qint", d2 + m_a + i))
-        for b in s_m:
-            c_b = 1
-            c_b += sum(1 for a2 in s_m if a2 != b and a2[0] > b[1])
-            c_b += sum(1 for a2 in s_m if a2 != b and a2[0] < b[0] and b[1] < a2[1])
-            c_b += sum(1 for t in dashed if t[0] > b[1])
+        for c_b in c_bs:
             ln.append(("qint", d2 + m_a + c_b))
             ld.append(("qint", d2 + c_b))
-    record("n7", ln, ld)
+    pieces["n7"] = (ln, ld)
 
     # dashed-arc ratio
     tlist = dashed if n1 else dashed[1:]
@@ -559,7 +562,7 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
     for a in tlist:
         d3 = (star - a[1] + 1) // 2
         ld.append(("qint", d3 + size(a)))
-    record("n8", [], ld)
+    pieces["n8"] = ([], ld)
 
     # symmetric-factor ratio
     ln = [("cosh", i) for i in range(1, n - n2 + 1)]
@@ -568,7 +571,7 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
         ld.append(("cosh", 1 + (n - star) // 2))
         for a in dashed:
             ld.append(("cosh", 1 + (n - a[0]) // 2))
-    record("n9", ln, ld)
+    pieces["n9"] = (ln, ld)
 
     # the left-to-right object numbering
     objects = []
@@ -587,15 +590,15 @@ def closed_form_data(d: Diagram) -> ClosedFormData:
             ln.append(("qint", number))
         elif obj[0] == "unpaired":
             ln.append(("qint", number))
-    record("n10", ln, [])
+    pieces["n10"] = (ln, [])
 
-    return ClosedFormData(
-        n2=n2, n3=n3, n4=n4, numerator=num, denominator=den, pieces=pieces
-    )
+    return ClosedFormData(n2=n2, n3=n3, n4=n4, pieces=pieces)
 
 
 def strip_blocks(d: Diagram) -> Diagram:
     """The same arrow structure on unit blocks (projectors removed)."""
+    if d.shape == (1,) * d.n_sites:
+        return d
     return Diagram(
         shape=(1,) * d.n_sites,
         ups=d.ups,

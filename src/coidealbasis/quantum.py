@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .laurent import (
     LaurentPoly,
@@ -190,14 +191,17 @@ def act(gen: str, vec: TensorVector, cop: str, lo: int = 0, hi: int = None) -> T
     return _act_positions(vec, _coproduct_terms(gen, cop, lo, hi))
 
 
-def act_power_divided(gen: str, vec: TensorVector, cop: str, k: int, lo: int = 0, hi: int = None) -> TensorVector:
-    """The divided power gen^k / [k]! acting through the comultiplication."""
-    out = vec
-    for _ in range(k):
-        out = act(gen, out, cop, lo, hi)
-        if out.is_zero():
-            return out
-    return out.exact_div(quantum_factorial(k))
+def divided_powers(gen: str, vec: TensorVector, cop: str, lo: int = 0, hi: int = None):
+    """Yield gen^(0) vec, gen^(1) vec, ... for the divided powers
+    gen^(k) = gen^k / [k]! through the comultiplication, stopping at the
+    first zero.  Each power is the previous one acted on once and divided by
+    [k]; the division is exact on the integral form, and exact_div raises if
+    it is not."""
+    k = 0
+    while not vec.is_zero():
+        yield vec
+        k += 1
+        vec = act(gen, vec, cop, lo, hi).exact_div(quantum_int(k))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +213,11 @@ def _theta_ranges(vec, sign, f_lo, f_hi, e_lo, e_hi) -> TensorVector:
     """One quasi-R-matrix factor: the series of paired divided powers acting
     on two disjoint factor ranges."""
     total = vec
-    k = 1
     left_gen, right_gen = ("F", "E") if sign == "+" else ("E", "F")
-    while True:
-        term = act_power_divided(left_gen, vec, sign, k, f_lo, f_hi)
-        if term.is_zero():
-            break
-        term = act_power_divided(right_gen, term, sign, k, e_lo, e_hi)
-        if term.is_zero():
+    lefts = islice(divided_powers(left_gen, vec, sign, f_lo, f_hi), 1, None)
+    for k, term in enumerate(lefts, start=1):
+        term = next(islice(divided_powers(right_gen, term, sign, e_lo, e_hi), k, None), None)
+        if term is None:
             break
         # (-1)^k q^{-k(k-1)/2} (q - q^-1)^k / [k]!  acting via F^k x E^k,
         # rewritten through divided powers (one factorial survives)
@@ -229,7 +230,6 @@ def _theta_ranges(vec, sign, f_lo, f_hi, e_lo, e_hi) -> TensorVector:
         else:
             fact = fact.shift(tri)
         total = total + term.scale(fact)
-        k += 1
     return total
 
 
@@ -314,7 +314,9 @@ def upsilon_coeffs(n_max: int):
 
     top = TensorVector.basis(shape, (n,), dual=False)
     xtop = x_image(top)
-    fdiv = [act_power_divided("F", top, "+", k) for k in range(n_max + 2)]
+    # F^(k) top and F^(k) iota(X) top are nonzero for every k <= n
+    fdiv = list(divided_powers("F", top, "+"))
+    xdiv = list(divided_powers("F", xtop, "+"))
     coeffs = [ONE]
     for j in range(1, n_max + 1):
         # defect of psi(iota(X)) Upsilon - Upsilon iota(X) on the highest
@@ -323,13 +325,13 @@ def upsilon_coeffs(n_max: int):
         rhs = TensorVector.zero(shape, False)
         for k, ck in enumerate(coeffs):
             lhs = lhs + fdiv[k].scale(ck)
-            rhs = rhs + act_power_divided("F", xtop, "+", k).scale(ck)
+            rhs = rhs + xdiv[k].scale(ck)
         defect = x_image_bar(lhs) - rhs
         # the weight-(n - 2(j-1)) component is the first one the degree-j
         # term reaches (through its E-part), so it determines c_j
         target = n - 2 * (j - 1)
         num = defect.coeff((target,))
-        dep = x_image_bar(fdiv[j]) - act_power_divided("F", xtop, "+", j)
+        dep = x_image_bar(fdiv[j]) - xdiv[j]
         den = dep.coeff((target,))
         if den.is_zero():
             raise ArithmeticError("series coefficient is not determined")
@@ -357,17 +359,13 @@ def apply_upsilon(vec: TensorVector, sign: str) -> TensorVector:
     Upsilon_+ uses divided F powers with coefficients c_k; Upsilon_- uses
     divided E powers with the bar-conjugate coefficients.
     """
-    bound = sum(vec.shape)
-    cs = upsilon_coeffs(bound)
+    cs = upsilon_coeffs(sum(vec.shape))
     gen = "F" if sign == "+" else "E"
     total = TensorVector.zero(vec.shape, vec.dual)
-    for k in range(bound + 1):
-        ck = cs[k] if sign == "+" else cs[k].bar()
-        term = act_power_divided(gen, vec, sign, k)
-        if term.is_zero():
-            if k > 0:
-                break
-        total = total + term.scale(ck)
+    # a power beyond the total weight range is zero, so the series ends
+    # within the len(cs) coefficients
+    for ck, term in zip(cs, divided_powers(gen, vec, sign)):
+        total = total + term.scale(ck if sign == "+" else ck.bar())
     return total
 
 

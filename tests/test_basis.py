@@ -168,6 +168,47 @@ class TestTransitionMatrices:
         rep = r_matrices(Shape(m), check_routes=True)
         assert rep.ok, (rep.route_failures[:3], rep.inversion_failures[:3])
 
+    def test_corrupted_entries_reported_as_dense_loops(self, monkeypatch):
+        # one wrong entry in the ballot route and one in the upper matrix:
+        # the reports equal those of the dense idx x idx loops, order included
+        from coidealbasis import basis
+
+        s = Shape((2, 1))
+        idx = s.indices()
+
+        def corrupted(route, row, col):
+            def wrapped(shape):
+                mat = route(shape)
+                mat.entries[(row, col)] = mat.entry(row, col) + ONE
+                return mat
+
+            return wrapped
+
+        monkeypatch.setattr(basis, "r_upper_ballot", corrupted(basis.r_upper_ballot, (0, -1), (0, 1)))
+        monkeypatch.setattr(basis, "r_upper_spade", corrupted(basis.r_upper_spade, (-2, 1), (2, -1)))
+        rep = r_matrices(s, check_routes=True)
+        routes = [
+            ("lower/club-solve", rep.lower, basis.r_lower_club(s)),
+            ("upper/ballot", rep.upper, basis.r_upper_ballot(s)),
+            ("upper/projected-kl", rep.upper, basis.r_upper_hecke(s)),
+        ]
+        dense_routes = [
+            (name, r, c)
+            for name, ref, other in routes
+            for r in idx
+            for c in idx
+            if ref.entry(r, c) != other.entry(r, c)
+        ]
+        dense_inversion = []
+        for l in idx:
+            for lp in idx:
+                total = sum((rep.lower.entry(k, l) * rep.upper.entry(k, lp) for k in idx), ZERO)
+                if total != (ONE if l == lp else ZERO):
+                    dense_inversion.append((l, lp, total))
+        assert len(rep.route_failures) == 3 and rep.inversion_failures
+        assert rep.route_failures == dense_routes
+        assert rep.inversion_failures == dense_inversion
+
     def test_diagonal_ones(self):
         s = Shape((2, 2))
         rep = r_matrices(s, check_routes=False)

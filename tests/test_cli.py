@@ -130,7 +130,8 @@ class TestSubcommands:
     # rejected by main's handler, after the arguments parsed
     INPUT_ERRORS = [
         "klpoly --n 3 --eps + --out {tmp}/missing/x", "klpoly --n 3 --eps + --out {tmp}",
-        "sumrule --m 1 --L 99999999999999999999",
+        "sumrule --m 1 --L 99999999999999999999", "sumrule --mode table --m 99999999999999999999",
+        "sumrule --mode pell --m 99999999999999999999", "sumrule --mode a000902 --L 99999999999999999999",
     ]
 
     @pytest.mark.parametrize("command", USAGE_ERRORS + INPUT_ERRORS)

@@ -1,15 +1,16 @@
-from itertools import product
+from itertools import count, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from coidealbasis.laurent import LaurentPoly, ONE, Q, QINV, ZERO, quantum_int
+from coidealbasis.laurent import LaurentPoly, ONE, Q, QINV, ZERO, quantum_factorial, quantum_int
 from coidealbasis.paths import Shape
 from coidealbasis.quantum import (
     TensorVector,
     act,
-    act_power_divided,
     act_y,
     apply_upsilon,
+    divided_powers,
     pairing,
     project,
     project_lower,
@@ -25,6 +26,20 @@ from coidealbasis.quantum import _recurrence_coeffs
 
 def basis(shape, idx, dual=False):
     return TensorVector.basis(shape, idx, dual)
+
+
+@st.composite
+def divided_power_cases(draw):
+    """A random vector on 1-3 factors, a generator, a coproduct sign and a
+    factor sub-range."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    indices = list(product(*(range(-m, m + 1, 2) for m in shape)))
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5).filter(bool), min_size=1, max_size=3)
+    terms = draw(st.dictionaries(st.sampled_from(indices), coeffs.map(LaurentPoly), max_size=4))
+    lo = draw(st.integers(0, len(shape) - 1))
+    hi = draw(st.integers(lo + 1, len(shape)))
+    vec = TensorVector(shape, draw(st.booleans()), terms)
+    return vec, draw(st.sampled_from("EF")), draw(st.sampled_from("+-")), lo, hi
 
 
 def random_vector(shape, dual, seed=3):
@@ -83,12 +98,22 @@ class TestCoproducts:
             rhs_terms = {k: c.exact_div(Q - QINV) for k, c in kk.terms.items()}
             assert lhs == TensorVector(shape, False, rhs_terms)
 
-    def test_divided_powers(self):
-        v = basis((2, 2), (2, 2))
-        f2 = act("F", act("F", v, "+"), "+")
-        from coidealbasis.laurent import quantum_factorial
-
-        assert act_power_divided("F", v, "+", 2) == f2.exact_div(quantum_factorial(2))
+    @given(divided_power_cases())
+    @example((basis((2, 2), (2, 2)), "F", "+", 0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_divided_powers(self, case):
+        # each power from the previous one equals gen^k v / [k]! computed
+        # from k plain actions, up to the first zero
+        vec, gen, cop, lo, hi = case
+        slow = []
+        power = vec
+        for k in count():
+            term = power.exact_div(quantum_factorial(k))
+            if term.is_zero():
+                break
+            slow.append(term)
+            power = act(gen, power, cop, lo, hi)
+        assert list(divided_powers(gen, vec, cop, lo, hi)) == slow
 
 
 class TestTheta:
