@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import le
 
-from .laurent import LaurentPoly, ONE, ZERO, add_term
+from .laurent import LaurentPoly, ONE, ZERO
 from .paths import (
     Shape,
+    area,
     eta_images,
     eta_inverse,
     heights,
@@ -86,6 +88,12 @@ class Strip:
         return (len(self.boxes) - 1 - self.tail) // 2
 
 
+def even_tails(strips) -> int:
+    """The number e of even-tail strips: a tiling weighs t^-e under Rule I
+    and q^-e under Rule II."""
+    return sum(1 for s in strips if s.tail % 2 == 0)
+
+
 @dataclass(frozen=True)
 class StripConfig:
     """One configuration: the strips plus any projection-domain unit squares."""
@@ -96,7 +104,7 @@ class StripConfig:
     def weight(self, rule: str) -> LaurentPoly:
         """t^-e under Rule I and q^-e t^-p under Rule II, for e even-tail
         strips and p projection unit squares."""
-        e = sum(1 for s in self.strips if s.tail % 2 == 0)
+        e = even_tails(self.strips)
         if rule == "I":
             return LaurentPoly.t_power(-e)
         return LaurentPoly.q_power(-e) * LaurentPoly.t_power(-len(self.p_units))
@@ -425,19 +433,52 @@ def q_polynomial(alpha, beta, rule: str, eps: str, shape: Shape = None) -> Laure
     return _q_polynomial_cached(alpha, beta, rule, eps, shape_m)
 
 
+def rule2_exponent(gamma, beta):
+    """The exponent e of the Rule II tiling weight q^-e from gamma up to
+    beta, or None when no tiling exists; gamma must lie below beta."""
+    if gamma == beta:
+        return 0
+    tilings = rule2_tilings(gamma, beta)
+    return even_tails(tilings[0]) if tilings else None
+
+
 def rule2_weight_sum(gamma, beta) -> LaurentPoly:
     """Weight of the unique Rule II tiling between two paths, or 0 if none.
 
     This is the quantity that matches the eps='-' parabolic Kazhdan-Lusztig
     polynomial evaluated at minus its argument."""
-    if gamma == beta:
-        return ONE
-    if not is_below(gamma, beta):
-        return ZERO
-    total = ZERO
-    for strips in rule2_tilings(gamma, beta):
-        total = total + StripConfig(strips=strips).weight("II")
-    return total
+    e = rule2_exponent(gamma, beta) if is_below(gamma, beta) else None
+    return ZERO if e is None else LaurentPoly.q_power(-e)
+
+
+def rule2_rows(shape: Shape) -> dict:
+    """Rule II over the eta images of the shape, as sparse rows
+    {alpha: {beta: entry}} holding the nonzero entries.
+
+    A configuration from alpha = eta(k) to beta is a projection domain, the
+    region between alpha and a path gamma below both zeta(k) and beta, with
+    t^-1 per square, plus the tiling from gamma to beta.  So row alpha is the
+    sum over gamma of t^-area(alpha, gamma) times the tiling weights
+    q^-e(gamma, beta): each gamma is listed once per row, not once per entry.
+    Entry by entry this equals q_polynomial(alpha, beta, "II", "-", shape)."""
+    images = eta_images(shape)
+    rows = {}
+    for k, alpha, ha in images:
+        above = [(beta, hb) for _, beta, hb in images if all(map(le, ha, hb))]
+        base = area(alpha)
+        coeffs = {}  # beta -> {exponent: integer coefficient}
+        for gamma in paths_between(alpha, zeta(k, shape)):
+            p = base - area(gamma)  # projection squares: t^-p = (-1)^p q^-p
+            sign = -1 if p % 2 else 1
+            hg = heights(gamma)
+            for beta, hb in above:
+                if all(map(le, hg, hb)):  # gamma below beta
+                    e = rule2_exponent(gamma, beta)
+                    if e is not None:
+                        c = coeffs.setdefault(beta, {})
+                        c[-e - p] = c.get(-e - p, 0) + sign
+        rows[alpha] = {beta: v for beta, c in coeffs.items() if (v := LaurentPoly(c))}
+    return rows
 
 
 @dataclass
@@ -456,27 +497,35 @@ def verify_inversion(shape: Shape, jobs: int = 1) -> InversionReport:
     other over admissible intermediate paths, for every comparable pair of
     eta images of the shape: each row of R_I R_II must be the unit row."""
     images = eta_images(shape)
-    up = {a: [c for _, c, hc in images if all(x <= y for x, y in zip(ha, hc))] for _, a, ha in images}
-    row = partial(_inversion_row, up=up, shape=shape)
+    up = {a: [c for _, c, hc in images if all(map(le, ha, hc))] for _, a, ha in images}
+    row = partial(_inversion_row, up=up, rule2=rule2_rows(shape))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # each chunk of rows pickles the Rule II rows once
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(row, up))
+            rows = list(ex.map(row, up, chunksize=max(1, len(up) // (4 * jobs))))
     else:
         rows = [row(a) for a in up]
     failures = [f for r in rows for f in r]
     return InversionReport(shape=shape.m, pairs_checked=sum(map(len, up.values())), failures=failures)
 
 
-def _inversion_row(a, up, shape):
+def _inversion_row(a, up, rule2):
     """Row a of R_I R_II over the images up[a] above a, as the failures
-    (a, c, entry) where the entry is not that of the unit matrix."""
-    row = {}
+    (a, c, entry) where the entry is not that of the unit matrix.  Only the
+    nonzero Rule I entries are multiplied, each by a sparse Rule II row, and
+    the products are summed as integer coefficients per exponent."""
+    sums = {}  # c -> {exponent: integer coefficient}
     for b in up[a]:
-        q1 = q_polynomial(a, b, "I", "-", shape)
-        for c in up[b]:
-            add_term(row, c, q1 * q_polynomial(b, c, "II", "-", shape))
+        q1 = q_polynomial(a, b, "I", "-").coeffs.items()
+        if q1:
+            for c, q2 in rule2[b].items():
+                s = sums.setdefault(c, {})
+                for e2, c2 in q2.coeffs.items():
+                    for e1, c1 in q1:
+                        s[e1 + e2] = s.get(e1 + e2, 0) + c1 * c2
+    row = {c: LaurentPoly(s) for c, s in sums.items()}
     return [(a, c, row.get(c, ZERO)) for c in up[a] if row.get(c, ZERO) != (ONE if c == a else ZERO)]
 
 

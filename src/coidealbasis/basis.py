@@ -366,18 +366,14 @@ def r_upper_spade(shape: Shape) -> TransitionMatrix:
 def r_upper_ballot(shape: Shape) -> TransitionMatrix:
     """The same matrix from strip generating functions (tight stacking rule),
     evaluated at plain q^-1."""
-    from .ballot import q_polynomial
+    from .ballot import rule2_rows
 
-    images = eta_images(shape)
-    entries = {}
-    for col, beta, hb in images:
-        for row, alpha, ha in images:
-            if alpha == beta:
-                entries[(row, col)] = ONE
-            elif all(x <= y for x, y in zip(ha, hb)):  # alpha below beta
-                val = q_polynomial(alpha, beta, "II", "-", shape).subs_neg()
-                if not val.is_zero():
-                    entries[(row, col)] = val
+    index_of = {path: k for k, path, _ in eta_images(shape)}
+    entries = {
+        (index_of[alpha], index_of[beta]): v.subs_neg()
+        for alpha, row in rule2_rows(shape).items()
+        for beta, v in row.items()
+    }
     return TransitionMatrix(indices=tuple(shape.indices()), entries=entries)
 
 

@@ -94,7 +94,10 @@ def ballot_matches_kl(max_sites: int) -> CheckReport:
             if a == b:
                 lower = ONE
             elif all(x >= y for x, y in zip(ha, hb)):  # a above b: comparable for the plus order
-                lower = ballot.q_polynomial(a, b, "I", "+").subs_neg()
+                # the plus-order function of (a, b) is by definition the
+                # minus-order one of (b, a); asking for the latter shares
+                # the strip memo with the inversion check
+                lower = ballot.q_polynomial(b, a, "I", "-").subs_neg()
             else:
                 lower = ZERO
             if lower_kl.entry(r, c) != lower:

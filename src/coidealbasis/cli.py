@@ -260,9 +260,10 @@ def cmd_psi(args):
     return 0
 
 
-# The most weight indices one sumrule call may enumerate: the sum for (m, L)
-# runs over the (m+1)^L indices of the shape (m,)*L.
-SUMRULE_MAX_INDICES = 2 ** 24
+# The most work one sumrule call may do, counted in sites times weight
+# indices: the sum for (m, L) runs over the (m+1)^L indices of the shape
+# (m,)*L, and each index costs in proportion to its m*L sites.
+SUMRULE_MAX_COST = 2 ** 26
 
 
 def _sumrule_sizes(args):
@@ -277,12 +278,12 @@ def _sumrule_sizes(args):
 
 
 def cmd_sumrule(args):
-    count = 0
+    cost = 0
     for m, length in _sumrule_sizes(args):
-        # (m+1)^L exceeds the limit once L > 24, so the power stays small
-        count += (m + 1) ** min(length, 25)
-        if count > SUMRULE_MAX_INDICES:
-            raise ValueError(f"sumrule would enumerate more than {SUMRULE_MAX_INDICES} weight indices")
+        # (m+1)^L exceeds the limit once L > 26, so the power stays small
+        cost += (m + 1) ** min(length, 27) * m * length
+        if cost > SUMRULE_MAX_COST:
+            raise ValueError(f"sumrule would exceed {SUMRULE_MAX_COST} site-index steps (weight indices times their sites)")
     if args.mode == "table":
         table = coideal.sum_table(args.m, args.length)
         rows = [["m\\L"] + [str(L) for L in range(1, args.length + 1)]]

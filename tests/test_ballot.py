@@ -10,13 +10,14 @@ from coidealbasis.ballot import (
     render_config,
     rule1_configs,
     rule2_configs,
+    rule2_rows,
     rule2_tilings,
     rule2_weight_sum,
     skew_region,
     verify_inversion,
 )
-from coidealbasis.laurent import LaurentPoly, ONE
-from coidealbasis.paths import Shape, eta, eta_images, is_below, parse_path
+from coidealbasis.laurent import LaurentPoly, ONE, ZERO
+from coidealbasis.paths import Shape, all_shapes, eta, eta_images, is_below, parse_path
 
 
 def t_pows(*exps):
@@ -122,6 +123,18 @@ class TestTightRule:
         for c in rule2_configs(a, b, shape):
             assert not c.p_units
 
+    def test_rows_equal_configuration_route(self):
+        # the product route against the per-pair enumeration it replaced,
+        # on every comparable pair of eta images, zeros included
+        for shape in all_shapes(5):
+            rows = rule2_rows(shape)
+            images = eta_images(shape)
+            for _, a, _ in images:
+                assert set(rows[a]) <= {c for _, c, _ in images if is_below(a, c)}
+                for _, c, _ in images:
+                    if is_below(a, c):
+                        assert rows[a].get(c, ZERO) == q_polynomial(a, c, "II", "-", shape), (shape, a, c)
+
     def test_shape_required(self):
         with pytest.raises(ValueError):
             q_polynomial(parse_path("-+"), parse_path("+-"), "II", "-")
@@ -142,15 +155,36 @@ class TestInversion:
         rep = verify_inversion(Shape(shape))
         assert rep.ok, rep.failures
 
-    def test_corrupted_entry_is_reported(self, monkeypatch):
-        shape = Shape((2, 2))
+    @staticmethod
+    def _bottom_top(shape):
         order = sorted(eta_images(shape), key=lambda t: sum(t[2]))
-        bottom, top = order[0][1], order[-1][1]
+        return order[0][1], order[-1][1]
+
+    def test_corrupted_entry_is_reported(self, monkeypatch):
+        # one wrong Rule II entry: only the product entry (bottom, top)
+        # changes, by the Rule I diagonal entry 1 times the added 1
+        shape = Shape((2, 2))
+        bottom, top = self._bottom_top(shape)
+        original = ballot.rule2_rows
+
+        def corrupted(shape):
+            rows = original(shape)
+            rows[bottom][top] = rows[bottom].get(top, ZERO) + ONE
+            return rows
+
+        monkeypatch.setattr(ballot, "rule2_rows", corrupted)
+        rep = verify_inversion(shape)
+        assert rep.pairs_checked == 43
+        assert rep.failures == [(bottom, top, ONE)]
+
+    def test_corrupted_rule1_entry_is_reported(self, monkeypatch):
+        shape = Shape((2, 2))
+        bottom, top = self._bottom_top(shape)
         original = ballot.q_polynomial
 
         def corrupted(alpha, beta, rule, eps, shape=None):
             value = original(alpha, beta, rule, eps, shape)
-            return value + ONE if (alpha, beta, rule) == (bottom, top, "II") else value
+            return value + ONE if (alpha, beta, rule) == (bottom, top, "I") else value
 
         monkeypatch.setattr(ballot, "q_polynomial", corrupted)
         rep = verify_inversion(shape)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coidealbasis.basis import (
     build_diagram,
@@ -10,6 +11,7 @@ from coidealbasis.basis import (
     heart_vectors_solved,
     hearts_into_spades,
     r_matrices,
+    r_upper_ballot,
     r_upper_spade,
     spade_vectors,
     spade_vectors_solved,
@@ -17,8 +19,23 @@ from coidealbasis.basis import (
     tensor_into_spades,
 )
 from coidealbasis.laurent import LaurentPoly, ONE, ZERO, q_binomial
-from coidealbasis.paths import Shape, index_le
+from coidealbasis.paths import Shape, eta_images, index_le, is_below
 from coidealbasis.quantum import pairing, psi_iota, psi_pm
+
+
+def _composition(cuts):
+    """The block sizes of a row of sites cut after site i wherever cuts[i]."""
+    sizes, run = [], 1
+    for cut in cuts:
+        if cut:
+            sizes.append(run)
+            run = 0
+        run += 1
+    return tuple(sizes + [run])
+
+
+# random compositions of 1..6 sites
+COMPOSITIONS = st.integers(0, 5).flatmap(lambda n: st.lists(st.booleans(), min_size=n, max_size=n)).map(_composition)
 
 SMALL_SHAPES = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 2), (1, 1, 1), (2, 2), (1, 1, 1, 1)]
 
@@ -208,6 +225,23 @@ class TestTransitionMatrices:
         assert len(rep.route_failures) == 3 and rep.inversion_failures
         assert rep.route_failures == dense_routes
         assert rep.inversion_failures == dense_inversion
+
+    @settings(max_examples=40, deadline=None)
+    @given(COMPOSITIONS)
+    def test_ballot_route_equals_pairwise_rebuild(self, m):
+        # the Rule II rows against one configuration enumeration per pair
+        from coidealbasis.ballot import q_polynomial
+
+        s = Shape(m)
+        images = eta_images(s)
+        rebuilt = {}
+        for col, beta, _ in images:
+            for row, alpha, _ in images:
+                if is_below(alpha, beta):
+                    val = q_polynomial(alpha, beta, "II", "-", s).subs_neg()
+                    if val:
+                        rebuilt[(row, col)] = val
+        assert r_upper_ballot(s).entries == rebuilt
 
     def test_diagonal_ones(self):
         s = Shape((2, 2))

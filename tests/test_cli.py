@@ -132,6 +132,7 @@ class TestSubcommands:
         "klpoly --n 3 --eps + --out {tmp}/missing/x", "klpoly --n 3 --eps + --out {tmp}",
         "sumrule --m 1 --L 99999999999999999999", "sumrule --mode table --m 99999999999999999999",
         "sumrule --mode pell --m 99999999999999999999", "sumrule --mode a000902 --L 99999999999999999999",
+        "sumrule --m 1000000 --L 1",
     ]
 
     @pytest.mark.parametrize("command", USAGE_ERRORS + INPUT_ERRORS)
