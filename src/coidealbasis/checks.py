@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import ge
 
 from . import ballot, basis, coideal, hecke
-from .laurent import ONE, ZERO, quantum_int, telescoping_identity_one, telescoping_identity_two
+from .laurent import ONE, quantum_int, telescoping_identity_one, telescoping_identity_two
 from .paths import Shape, all_shapes, eta_images, is_below
 from .quantum import TensorVector, act_y, psi_iota
 
@@ -87,21 +88,27 @@ def ballot_matches_kl(max_sites: int) -> CheckReport:
     (counted), and the KL lower one is the loose-rule function transposed."""
     rep = CheckReport()
     for shape in all_shapes(max_sites):
+        images = eta_images(shape)
         lower_kl = basis.r_lower_hecke(shape)
         upper_ballot, upper_kl = basis.r_upper_ballot(shape), basis.r_upper_hecke(shape)
-        for (r, a, ha), (c, b, hb) in product(eta_images(shape), repeat=2):
-            rep.record(upper_ballot.entry(r, c) == upper_kl.entry(r, c), ("upper", shape.m, r, c))
-            if a == b:
-                lower = ONE
-            elif all(x >= y for x, y in zip(ha, hb)):  # a above b: comparable for the plus order
+        rep.count += len(images) ** 2
+        # (r, c, 0) for an upper failure and (r, c, 1) for a lower one sort
+        # as the dense loop over all (r, c) pairs would report them; an
+        # entry missing from a matrix is zero there
+        bad = {(r, c, 0) for r, c in upper_ballot.entries.keys() | upper_kl.entries.keys()
+               if upper_ballot.entry(r, c) != upper_kl.entry(r, c)}
+        comparable = set()
+        for (r, a, ha), (c, b, hb) in product(images, repeat=2):
+            if all(map(ge, ha, hb)):  # a above b: comparable for the plus order
+                comparable.add((r, c))
                 # the plus-order function of (a, b) is by definition the
                 # minus-order one of (b, a); asking for the latter shares
                 # the strip memo with the inversion check
-                lower = ballot.q_polynomial(b, a, "I", "-").subs_neg()
-            else:
-                lower = ZERO
-            if lower_kl.entry(r, c) != lower:
-                rep.failures.append(("lower", shape.m, r, c))
+                lower = ONE if a == b else ballot.q_polynomial(b, a, "I", "-").subs_neg()
+                if lower_kl.entry(r, c) != lower:
+                    bad.add((r, c, 1))
+        bad |= {(r, c, 1) for (r, c), v in lower_kl.entries.items() if (r, c) not in comparable and v}
+        rep.failures += [(("upper", "lower")[kind], shape.m, r, c) for r, c, kind in sorted(bad)]
     return rep
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from math import prod
 
 from .laurent import (
@@ -392,10 +393,8 @@ def psi0_components(shape: Shape) -> dict:
     """The explicit standard-basis eigenvector pushed through the projection:
     on a sign string each ascent at site i contributes q^(N+1-i)."""
     n = shape.total
-    from itertools import product as iproduct
-
     terms = {}
-    for kappa in iproduct((1, -1), repeat=n):
+    for kappa in product((1, -1), repeat=n):
         e = sum(n + 1 - (i + 1) for i, s in enumerate(kappa) if s == 1)
         terms[kappa] = LaurentPoly.q_power(e)
     upstairs = TensorVector((1,) * n, True, terms)
@@ -450,9 +449,13 @@ class ClosedFormData:
         return (_factored(self.numerator) / _factored(self.denominator)).expand()
 
     def value_at_one(self) -> int:
-        num, den = (
-            prod(n if kind == "qint" else 2 for kind, n in fs) for fs in (self.numerator, self.denominator)
-        )
+        # [n] is n at q = 1 and q^i + q^-i is 2
+        num = den = 1
+        for nums, dens in self.pieces.values():
+            for kind, n in nums:
+                num *= n if kind == "qint" else 2
+            for kind, n in dens:
+                den *= n if kind == "qint" else 2
         quot, rem = divmod(num, den)
         if rem:
             raise ArithmeticError("closed form is not integral at q = 1")
@@ -679,13 +682,17 @@ def psi_solve(shape: Shape, routes=("elimination", "graph", "transition", "close
 
 def component_sum_at_one(m: int, length: int) -> int:
     """Sum of all top-eigenvector components at q = 1 for the constant shape
-    (m, ..., m) of the given length, via the closed form."""
-    shape = Shape((m,) * length)
-    total = 0
-    for k in shape.indices():
-        d = strip_blocks(build_diagram(k, shape))
-        total += closed_form_data(d).value_at_one()
-    return total
+    (m, ..., m) of the given length, via the closed form.
+
+    The diagrams are built on unit blocks straight from the sign strings:
+    block i of the string of the weight index k is (m + k_i) / 2 copies of
+    +1 followed by the rest as -1, for each of the (m + 1)^length indices."""
+    unit = Shape((1,) * (m * length))
+    blocks = [(1,) * up + (-1,) * (m - up) for up in range(m + 1)]
+    return sum(
+        closed_form_data(diagram_from_string(chain.from_iterable(kappa), unit)).value_at_one()
+        for kappa in product(blocks, repeat=length)
+    )
 
 
 def pell(n: int) -> int:

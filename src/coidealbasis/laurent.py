@@ -643,14 +643,32 @@ def sums_equal(left, right) -> bool:
     """Whether two sums of CyclotomicProducts have the same value.
 
     The common factor of all nonzero terms takes the least exponent of each
-    Phi_d among them, so every cofactor is a Laurent polynomial; only the
-    cofactors are expanded and added, with no gcd and no division."""
+    Phi_d and of q among them, so every cofactor is a polynomial
+    +-q^s prod_d Phi_d(q)^e with s, e >= 0.  Their sum P is decided by its
+    value at the single integer point x = 2^B, with no expansion, gcd or
+    division.
+
+    The test is exact.  The 1-norm is submultiplicative, so every
+    coefficient of P is at most C = sum over the cofactors of
+    prod_d |Phi_d|_1^e in absolute value.  If P != 0 has leading term a x^n,
+    the other terms add up to at most C (x^n - 1) / (x - 1) < x^n <= |a x^n|
+    in absolute value for any x >= C + 1, so P(x) != 0.  B is one bit past
+    C, so x = 2^B >= 2C + 2, and P = 0 exactly when P(2^B) = 0.  Each Phi_d(x)
+    is its coefficients shifted into B-bit slots, and each cofactor is a
+    product of big integers."""
     terms = [t for t in left if t.unit] + [-t for t in right if t.unit]
     low = {d: min(t.exps.get(d, 0) for t in terms) for d in set().union(*(t.exps for t in terms))}
-    total = ZERO
-    for t in terms:
-        total = total + _expand(t.unit, t.shift, {d: t.exps.get(d, 0) - e for d, e in low.items()})
-    return total.is_zero()
+    low_shift = min((t.shift for t in terms), default=0)
+    cofactors = [(t, {d: t.exps.get(d, 0) - e for d, e in low.items()}) for t in terms]
+    norm = {d: sum(map(abs, cyclotomic(d).coeffs.values())) for d in low}
+    bound = sum(prod(norm[d] ** e for d, e in exps.items()) for _, exps in cofactors)
+    bits = bound.bit_length() + 1
+    at_x = {d: sum(c << (bits * k) for k, c in cyclotomic(d).coeffs.items()) for d in low}
+    total = 0
+    for t, exps in cofactors:
+        value = prod(at_x[d] ** e for d, e in exps.items() if e) << (bits * (t.shift - low_shift))
+        total += value if t.unit > 0 else -value
+    return total == 0
 
 
 # ---------------------------------------------------------------------------

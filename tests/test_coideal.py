@@ -234,6 +234,14 @@ class TestSumRules:
     def test_unit_shape_rule(self):
         assert checks.bishop_rule(8).ok
 
+    def test_sum_equals_per_diagram_route(self):
+        # the sum over sign strings against one weight-indexed diagram,
+        # blocks stripped, per index of the shape
+        for m, L in ((m, L) for m in range(1, 11) for L in range(1, 10 // m + 1)):
+            s = Shape((m,) * L)
+            expected = sum(closed_form_data(strip_blocks(build_diagram(k, s))).value_at_one() for k in s.indices())
+            assert component_sum_at_one(m, L) == expected, (m, L)
+
     def test_closed_form_integral_at_one(self):
         s = Shape((3, 3))
         for k in s.indices():

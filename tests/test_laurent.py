@@ -15,6 +15,7 @@ from coidealbasis.laurent import (
     QINV,
     RationalFn,
     ZERO,
+    _expand,
     _telescoping_one_terms,
     _telescoping_two_terms,
     cyclotomic,
@@ -196,6 +197,33 @@ factors = st.lists(
 )
 
 
+def _term(unit, shift, fs):
+    """unit * q^shift times or divided by [n] and q^n + q^-n, skipping
+    divisions by zero."""
+    t = CyclotomicProduct(unit, shift)
+    for (kind, n), divide in fs:
+        f = quantum_int_factored(n) if kind == "qint" else two_cosh_factored(n)
+        if not divide:
+            t = t * f
+        elif f.unit:
+            t = t / f
+    return t
+
+
+terms = st.builds(_term, st.sampled_from((1, -1)), st.integers(min_value=-6, max_value=6), factors)
+
+
+def _sums_equal_by_expansion(left, right):
+    """The reference for sums_equal: divide out the common factor, then
+    expand the cofactors as Laurent polynomials and add them."""
+    terms = [t for t in left if t.unit] + [-t for t in right if t.unit]
+    low = {d: min(t.exps.get(d, 0) for t in terms) for d in set().union(*(t.exps for t in terms))}
+    total = ZERO
+    for t in terms:
+        total = total + _expand(t.unit, t.shift, {d: t.exps.get(d, 0) - e for d, e in low.items()})
+    return total.is_zero()
+
+
 class TestCyclotomicProduct:
     def test_cyclotomic_divisor_products(self):
         for d in range(1, 61):
@@ -244,6 +272,39 @@ class TestCyclotomicProduct:
         assert sums_equal([qi(2) * qi(3), qi(0)], [qi(4), qi(2)])
         assert not sums_equal([qi(2) * qi(3)], [qi(4)])
         assert sums_equal([qi(3) / qi(2), -(qi(3) / qi(2))], [])
+
+    def test_root_adversaries(self):
+        # q - 2 and q^3 - 8 vanish at q = 2, q^2 - 2q at q = 0 and q = 2: no
+        # fixed evaluation point decides these, the point past the bound does
+        one, q = CyclotomicProduct(1), CyclotomicProduct(1, 1)
+        assert not sums_equal([q], [one, one])
+        assert not sums_equal([CyclotomicProduct(1, 3)], [one] * 8)
+        assert not sums_equal([CyclotomicProduct(1, 2)], [q, q])
+        assert sums_equal([CyclotomicProduct(1, 2), q], [q, CyclotomicProduct(1, 2)])
+        assert sums_equal([], [CyclotomicProduct(0)])
+
+    @given(
+        st.lists(terms, max_size=3),
+        st.lists(terms, max_size=3),
+        st.booleans(),
+        st.lists(terms, max_size=2),
+        terms,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_test_matches_expansion(self, left, right, mirror, pairs, scale, n, m):
+        # both sides carry scale * ([n][m] = [n+m-1] + [n+m-3] + ... + [|n-m|+1]);
+        # mirror makes the random parts equal; each pair t cancels as t - t on
+        # the left or as t on both sides
+        qi = quantum_int_factored
+        if mirror:
+            right = left[::-1]
+        left = left + [scale * qi(n) * qi(m)] + [t for p in pairs for t in (p, -p)] + pairs
+        right = right + [scale * qi(n + m - 1 - 2 * k) for k in range(min(n, m))] + pairs
+        assert sums_equal(left, right) == _sums_equal_by_expansion(left, right)
+        if mirror:
+            assert sums_equal(left, right)
 
 
 class TestTelescoping:
