@@ -70,22 +70,19 @@ class Strip:
     boxes: tuple
 
     @property
-    def start_y(self) -> int:
-        return self.boxes[0][1]
-
-    @property
-    def end_y(self) -> int:
-        return self.boxes[-1][1]
-
-    @property
     def tail(self) -> int:
         """l' = height climbed from first to last square."""
-        return self.end_y - self.start_y
+        return _tail(self.boxes)
 
-    @property
-    def down_steps(self) -> int:
-        """l = number of descending steps."""
-        return (len(self.boxes) - 1 - self.tail) // 2
+
+def _tail(boxes) -> int:
+    """l' of a strip given as its squares in column order."""
+    return boxes[-1][1] - boxes[0][1]
+
+
+def _down_steps(boxes) -> int:
+    """l = number of descending steps of a strip given as its squares."""
+    return (len(boxes) - 1 - _tail(boxes)) // 2
 
 
 def even_tails(strips) -> int:
@@ -122,7 +119,17 @@ def _upper_positions(box):
 
 
 class _Search:
-    """Column-by-column backtracking enumeration of strip tilings."""
+    """Column-by-column backtracking enumeration of strip tilings.
+
+    The search changes one state in place and undoes each change when it
+    backtracks.  Strips are numbered in order of creation, and per strip it
+    keeps the squares placed so far (`boxes`), the starting height (`start`),
+    under Rule I the owner of the square below its first square, None on the
+    floor (`shadow`), and under Rule II the strip touching it from above once
+    one is seen (`above`).  `boxmap` maps each placed square to its strip.  A
+    column is filled bottom to top before the next one starts, so the strips
+    open at column x are the owners of the squares of column x, and every
+    check reads only the squares of the columns x and x-1."""
 
     def __init__(self, region, last_col, rule):
         self.region = frozenset(region)
@@ -133,220 +140,201 @@ class _Search:
             self.by_col.setdefault(x, []).append(y)
         for ys in self.by_col.values():
             ys.sort()
+        self.boxes, self.start, self.shadow, self.above = [], [], [], []
+        self.boxmap = {}
         self.results = []
 
     def run(self):
         if not self.region:
             return [()]
-        cols = range(min(self.by_col), max(self.by_col) + 1)
-        self._column(list(cols), 0, {}, {}, [])
+        self.last = max(self.by_col)
+        self._column(min(self.by_col))
         return self.results
 
-    # state:
-    #  open_: dict (x_last, y_last) -> sid for strips open at the previous column
-    #  strips: dict sid -> dict(boxes=[...], start=y, shadow=owner, above=sid|None)
-    #  assignment built incrementally inside strips' box lists; a separate
-    #  box->sid map is threaded for neighbour lookups.
+    def _column(self, x):
+        if x > self.last:
+            self._finish()
+        else:
+            self._assign(x, 0)
 
-    def _column(self, cols, ci, open_, state, boxmap_items):
-        if ci == len(cols):
-            self._finish(open_, state, dict(boxmap_items))
-            return
-        x = cols[ci]
-        ys = self.by_col.get(x, [])
-        boxmap = dict(boxmap_items)
-        self._assign(cols, ci, x, ys, 0, open_, {}, state, boxmap)
-
-    def _assign(self, cols, ci, x, ys, yi, open_, used, state, boxmap):
+    def _assign(self, x, yi):
+        """Place the squares of column x from the yi-th one up, each as the
+        next square of an open strip or as a new strip, then go on."""
+        ys = self.by_col.get(x, ())
         if yi == len(ys):
-            self._after_column(cols, ci, x, open_, used, state, boxmap)
+            self._after_column(x)
             return
         y = ys[yi]
         box = (x, y)
-        # extend an open strip from column x-1
+        boxes, boxmap = self.boxes, self.boxmap
+        # extend a strip of column x-1 that has no square in column x yet
         for prev in ((x - 1, y - 1), (x - 1, y + 1)):
-            sid = open_.get(prev)
-            if sid is None or sid in used:
+            sid = boxmap.get(prev)
+            if sid is None:
                 continue
-            st = state[sid]
-            if y < st["start"]:
+            squares = boxes[sid]
+            if squares[-1][0] == x:
+                continue
+            if y < self.start[sid]:
                 continue  # would dip below the starting height
-            if self.rule == "I" and not self._shadow_ok(st["shadow"], box, boxmap):
+            # Rule I: the square below, placed already when it lies in the
+            # region, has the owner of the square below the strip's first one
+            if self.rule == "I" and boxmap.get((x, y - 2)) != self.shadow[sid]:
                 continue
-            st2 = dict(state)
-            st2[sid] = {**st, "boxes": st["boxes"] + (box,)}
-            bm2 = dict(boxmap)
-            bm2[box] = sid
-            self._assign(cols, ci, x, ys, yi + 1, open_, {**used, sid: box}, st2, bm2)
-        # start a new strip here
-        sid = len(state)
-        shadow = None
-        if self.rule == "I":
-            below = (x, y - 2)
-            # lower squares of the column are assigned first, so the owner of
-            # the shadow square is already known when it lies in the region
-            shadow = boxmap[below] if below in self.region else "FLOOR"
-        st2 = dict(state)
-        st2[sid] = {"boxes": (box,), "start": y, "shadow": shadow, "above": None}
-        bm2 = dict(boxmap)
-        bm2[box] = sid
-        self._assign(cols, ci, x, ys, yi + 1, open_, {**used, sid: box}, st2, bm2)
+            squares.append(box)
+            boxmap[box] = sid
+            self._assign(x, yi + 1)
+            squares.pop()
+        # start a new strip here; the squares below it in this column are
+        # placed already, so the owner of its shadow is known
+        sid = len(boxes)
+        boxes.append([box])
+        self.start.append(y)
+        self.shadow.append(boxmap.get((x, y - 2)))
+        self.above.append(None)
+        boxmap[box] = sid
+        self._assign(x, yi + 1)
+        boxes.pop()
+        self.start.pop()
+        self.shadow.pop()
+        self.above.pop()
+        del boxmap[box]  # set by every branch
 
-    def _shadow_ok(self, owner, box, boxmap):
-        below = (box[0], box[1] - 2)
-        if owner == "FLOOR":
-            return below not in self.region
-        return below in self.region and boxmap.get(below) == owner
-
-    def _after_column(self, cols, ci, x, open_, used, state, boxmap):
-        # strips that were open and not extended close at column x-1
-        closed = [sid for pos, sid in open_.items() if sid not in used]
-        for sid in closed:
-            if not self._close_ok(sid, state, boxmap, final_col=x - 1):
+    def _after_column(self, x):
+        boxes, boxmap = self.boxes, self.boxmap
+        # strips of column x-1 that were not extended close there
+        for y in self.by_col.get(x - 1, ()):
+            sid = boxmap[(x - 1, y)]
+            if boxes[sid][-1][0] != x and not self._close_ok(sid, final_col=x - 1):
                 return
-        if self.rule == "II" and not self._contacts_ok(x, state, boxmap):
-            return
-        new_open = {}
-        for sid, st in state.items():
-            last = st["boxes"][-1]
-            if last[0] == x:
-                new_open[last] = sid
-        self._column(cols, ci + 1, new_open, state, list(boxmap.items()))
+        log = []  # the strips whose Rule II above link this column sets
+        if self.rule == "I" or self._contacts_ok(x, log):
+            self._column(x + 1)
+        for sid in log:
+            self.above[sid] = None
 
-    def _close_ok(self, sid, state, boxmap, final_col):
-        st = state[sid]
-        strip = Strip(st["boxes"])
-        if strip.tail >= 1:
+    def _close_ok(self, sid, final_col):
+        squares = self.boxes[sid]
+        tail = _tail(squares)
+        if tail >= 1:
             if final_col != self.N:
                 return False  # rising tails must end on the last column
-            if self.rule == "I" and strip.tail % 2 == 0:
+            if self.rule == "I" and tail % 2 == 0:
                 return False
-        if self.rule == "II" and st["above"] is not None:
-            above = st["above"]
-            for box in st["boxes"]:
-                if not self._covered(box, sid, above, boxmap):
-                    return False
-        return True
+        above = self.above[sid]
+        return above is None or all(self._covered(b, sid, above) for b in squares)
 
     # -- Rule II contact bookkeeping ------------------------------------
 
-    def _contacts_ok(self, x, state, boxmap):
-        """Register above-relations created by column x; detect conflicts."""
-        for (bx, by), sid in list(boxmap.items()):
-            if bx != x:
-                continue
+    def _contacts_ok(self, x, log):
+        """Register the above-relations created by column x, logging each
+        link set, and check the packing of column x-1, whose neighbourhood
+        is now decided."""
+        boxmap = self.boxmap
+        for y in self.by_col.get(x, ()):
+            sid = boxmap[(x, y)]
             # vertical within the column
-            lower = boxmap.get((x, by - 2))
+            lower = boxmap.get((x, y - 2))
             if lower is not None and lower != sid:
-                if not self._set_above(lower, sid, state, boxmap, x):
+                if not self._set_above(lower, sid, x, log):
                     return False
-            # this box sits NE of (x-1, by-1)
-            sw = boxmap.get((x - 1, by - 1))
+            # this box sits NE of (x-1, y-1)
+            sw = boxmap.get((x - 1, y - 1))
             if sw is not None and sw != sid:
-                if not self._set_above(sw, sid, state, boxmap, x):
+                if not self._set_above(sw, sid, x, log):
                     return False
-            # this box sits SE below (x-1, by+1)
-            nw = boxmap.get((x - 1, by + 1))
+            # this box sits SE below (x-1, y+1)
+            nw = boxmap.get((x - 1, y + 1))
             if nw is not None and nw != sid:
-                if not self._set_above(sid, nw, state, boxmap, x):
+                if not self._set_above(sid, nw, x, log):
                     return False
-        # incremental packing check for boxes whose neighbourhood is decided
-        for sid, st in state.items():
-            if st["above"] is None:
-                continue
-            for box in st["boxes"]:
-                if box[0] == x - 1:
-                    if not self._covered(box, sid, st["above"], boxmap):
-                        return False
+        for y in self.by_col.get(x - 1, ()):
+            box = (x - 1, y)
+            sid = boxmap[box]
+            above = self.above[sid]
+            if above is not None and not self._covered(box, sid, above):
+                return False
         return True
 
-    def _set_above(self, lower, upper, state, boxmap, col):
-        st = state[lower]
-        if st["above"] is None:
-            state[lower] = {**st, "above": upper}
-            # retro-check boxes whose whole neighbourhood is already assigned
-            # (everything up to the column being processed)
-            for box in st["boxes"]:
-                if box[0] + 1 <= col:
-                    if not self._covered(box, lower, upper, boxmap):
-                        return False
-            return True
-        return st["above"] == upper
+    def _set_above(self, lower, upper, col, log):
+        current = self.above[lower]
+        if current is not None:
+            return current == upper
+        self.above[lower] = upper
+        log.append(lower)
+        # retro-check the squares whose whole neighbourhood is already
+        # assigned (everything up to the column being processed)
+        return all(self._covered(b, lower, upper) for b in self.boxes[lower] if b[0] < col)
 
-    def _covered(self, box, sid, above, boxmap):
+    def _covered(self, box, sid, above):
+        boxmap = self.boxmap
         for p in _upper_positions(box):
-            if p[0] > self.N:
-                continue
-            owner = boxmap.get(p)
-            if owner is None or owner not in (sid, above):
+            if p[0] <= self.N and boxmap.get(p) not in (sid, above):
                 return False
         return True
 
     # -- final validation -------------------------------------------------
 
-    def _finish(self, open_, state, boxmap):
-        for pos, sid in open_.items():
-            if not self._close_ok(sid, state, boxmap, final_col=pos[0]):
+    def _finish(self):
+        last, boxmap = self.last, self.boxmap
+        for y in self.by_col[last]:
+            if not self._close_ok(boxmap[(last, y)], final_col=last):
                 return
-        strips = {sid: Strip(st["boxes"]) for sid, st in state.items()}
-        if self.rule == "I":
-            if not self._final_rule1(strips, boxmap):
-                return
-        else:
-            if not self._final_rule2(strips, state, boxmap):
-                return
-        self.results.append(tuple(strips[sid] for sid in sorted(strips)))
+        if self._final_rule1() if self.rule == "I" else self._final_rule2():
+            self.results.append(tuple(Strip(tuple(b)) for b in self.boxes))
 
-    def _final_rule1(self, strips, boxmap):
+    def _final_rule1(self):
+        region, boxmap = self.region, self.boxmap
         counts = {}
-        for sid, s in strips.items():
-            if s.tail >= 1:
-                if s.tail % 2 == 0 or s.boxes[-1][0] != self.N:
+        for squares in self.boxes:
+            tail = _tail(squares)
+            if tail >= 1:
+                if tail % 2 == 0 or squares[-1][0] != self.N:
                     return False
-                counts[(s.down_steps, s.tail)] = counts.get((s.down_steps, s.tail), 0) + 1
+                key = (_down_steps(squares), tail)
+                counts[key] = counts.get(key, 0) + 1
             # full-shadow rule, re-verified on the complete assignment
-            shadow = [(x, y - 2) for x, y in s.boxes]
-            owners = {boxmap.get(b) for b in shadow if b in self.region}
+            shadow = [(x, y - 2) for x, y in squares]
+            owners = {boxmap.get(b) for b in shadow if b in region}
             if owners:
-                if len(owners) != 1 or any(b not in self.region for b in shadow):
+                if len(owners) != 1 or any(b not in region for b in shadow):
                     return False
         return all(c % 2 == 0 for c in counts.values())
 
-    def _final_rule2(self, strips, state, boxmap):
-        touchers = {sid: set() for sid in strips}
+    def _final_rule2(self):
+        boxes, boxmap = self.boxes, self.boxmap
+        touchers = [set() for _ in boxes]
         for box, sid in boxmap.items():
             for p in _upper_positions(box):
                 o = boxmap.get(p)
                 if o is not None and o != sid:
                     touchers[sid].add(o)
-        for sid, ts in touchers.items():
+        for sid, ts in enumerate(touchers):
             if len(ts) > 1:
                 return False
             if ts:
                 above = next(iter(ts))
-                for box in strips[sid].boxes:
-                    if not self._covered(box, sid, above, boxmap):
-                        return False
-        for sid, s in strips.items():
-            if s.tail < 1:
+                if not all(self._covered(b, sid, above) for b in boxes[sid]):
+                    return False
+        for sid, squares in enumerate(boxes):
+            tail = _tail(squares)
+            if tail < 1:
                 continue
-            if s.boxes[-1][0] != self.N:
+            if squares[-1][0] != self.N:
                 return False
-            if s.tail % 2 == 1:
+            down = _down_steps(squares)
+            if tail % 2 == 1:
                 ts = touchers[sid]
                 if not ts:
                     return False
-                a = strips[next(iter(ts))]
-                if a.tail != s.tail + 1 or a.down_steps < s.down_steps:
+                a = boxes[next(iter(ts))]
+                if _tail(a) != tail + 1 or _down_steps(a) < down:
                     return False
-            else:
-                found = False
-                for sid2, below in strips.items():
-                    if touchers[sid2] == {sid} and below.tail == s.tail - 1 and below.down_steps <= s.down_steps:
-                        found = True
-                        break
-                if not found:
-                    return False
+            elif not any(
+                touchers[s] == {sid} and _tail(b) == tail - 1 and _down_steps(b) <= down
+                for s, b in enumerate(boxes)
+            ):
+                return False
         return True
 
 
@@ -393,11 +381,14 @@ def enumerate_configs(alpha, beta, rule: str, eps: str, shape: Shape = None):
     """The full configuration set for either rule and either sign.
 
     For eps='+' the roles of the paths are exchanged (the order reverses), so
-    the enumeration runs on (beta, alpha)."""
+    the enumeration runs on (beta, alpha).  Distinct paths that are not
+    comparable in that order raise ValueError."""
     if eps == "+":
         return enumerate_configs(beta, alpha, rule, "-", shape)
     if alpha == beta:
         return [StripConfig(strips=())]
+    if not is_below(alpha, beta):
+        raise ValueError("paths are not comparable in the requested order")
     if rule == "I":
         return rule1_configs(alpha, beta)
     if rule == "II":
@@ -407,20 +398,20 @@ def enumerate_configs(alpha, beta, rule: str, eps: str, shape: Shape = None):
     raise ValueError(f"rule must be 'I' or 'II', got {rule!r}")
 
 
-@lru_cache(maxsize=None)
-def _q_polynomial_cached(alpha, beta, rule, eps, shape_m):
-    # checked on a miss only: a raised ValueError is not cached, so every
-    # call on an incomparable pair raises
-    if alpha != beta:
-        lo, hi = (alpha, beta) if eps == "-" else (beta, alpha)
-        if not is_below(lo, hi):
-            raise ValueError("paths are not comparable in the requested order")
-    shape = Shape(shape_m) if shape_m is not None else None
-    configs = enumerate_configs(alpha, beta, rule, eps, shape)
+def weight_sum(configs, rule: str) -> LaurentPoly:
+    """The generating function of a configuration list under the rule."""
     total = ZERO
     for c in configs:
         total = total + c.weight(rule)
     return total
+
+
+@lru_cache(maxsize=None)
+def _q_polynomial_cached(alpha, beta, rule, eps, shape_m):
+    # the comparability check runs on a miss only: a raised ValueError is
+    # not cached, so every call on an incomparable pair raises
+    shape = Shape(shape_m) if shape_m is not None else None
+    return weight_sum(enumerate_configs(alpha, beta, rule, eps, shape), rule)
 
 
 def q_polynomial(alpha, beta, rule: str, eps: str, shape: Shape = None) -> LaurentPoly:

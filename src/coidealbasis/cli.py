@@ -52,6 +52,15 @@ def _parse_q0(text: str) -> Fraction:
     return q0
 
 
+class _PathOption(argparse.Action):
+    """Stores a path string.  Python 3.11's argparse removes a literal "--"
+    from an option's value, so --alpha=-- arrives as []; no other value
+    does, so [] is the path "--"."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _parse_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
@@ -123,9 +132,8 @@ def cmd_klpoly(args):
 
 def cmd_qpoly(args):
     alpha, beta = parse_path(args.alpha), parse_path(args.beta)
-    shape = args.shape
-    p = ballot.q_polynomial(alpha, beta, args.rule, args.eps, shape)
-    configs = ballot.enumerate_configs(alpha, beta, args.rule, args.eps, shape)
+    configs = ballot.enumerate_configs(alpha, beta, args.rule, args.eps, args.shape)
+    p = ballot.weight_sum(configs, args.rule)
     spot = str(p.evaluate(args.q0)) if args.q0 is not None else None
     if args.format == "ascii":
         pieces = [f"Q = {p}"]
@@ -377,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_klpoly)
 
     p = common(sub.add_parser("qpoly", help="strip generating function of a path pair"))
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    p.add_argument("--alpha", action=_PathOption, required=True)
+    p.add_argument("--beta", action=_PathOption, required=True)
     p.add_argument("--rule", choices=("I", "II"), required=True)
     p.add_argument("--eps", choices=("+", "-"), default="-")
     p.add_argument("--shape", type=_parse_shape, help="needed for rule II projection domains")

@@ -1,8 +1,9 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from coidealbasis import ballot, checks, hecke
+from coidealbasis import ballot, checks, clear_caches, hecke
 from coidealbasis.ballot import (
     StripConfig,
     enumerate_configs,
@@ -140,6 +141,55 @@ class TestTightRule:
             q_polynomial(parse_path("-+"), parse_path("+-"), "II", "-")
 
 
+class TestSearch:
+    def test_tilings_digest(self):
+        # every tiling of every comparable pair of distinct paths of 1..6
+        # steps under both rules, in search order, hashed as the copying
+        # search that this one replaced produced them
+        h, searches = hashlib.sha256(), 0
+        for n in range(1, 7):
+            paths = sorted(product((1, -1), repeat=n))
+            for a in paths:
+                for b in paths:
+                    if a != b and is_below(a, b):
+                        for rule in ("I", "II"):
+                            tilings = ballot._Search(skew_region(a, b), n, rule).run()
+                            h.update(repr((a, b, rule, [[s.boxes for s in t] for t in tilings])).encode())
+                            searches += 1
+        assert searches == 4452
+        assert h.hexdigest() == "39094edc058c62d10dd7c05f59d515f7ac6f08c9a812ebc7c98b044a5aefe4fd"
+
+    def test_run_undoes_its_state(self):
+        for n in range(1, 5):
+            paths = list(product((1, -1), repeat=n))
+            for a in paths:
+                for b in paths:
+                    if a != b and is_below(a, b):
+                        for rule in ("I", "II"):
+                            search = ballot._Search(skew_region(a, b), n, rule)
+                            search.run()
+                            assert search.boxes == search.start == search.shadow == search.above == []
+                            assert search.boxmap == {}
+
+    def test_failed_contact_check_undoes_its_links(self, monkeypatch):
+        # here a column check sets an above link and then fails; a link left
+        # set would reject the one tiling, found in a sibling branch
+        a, b = parse_path("-+-+-"), parse_path("+++--")
+        failed_with_links = []
+        original = ballot._Search._contacts_ok
+
+        def recorded(self, x, log):
+            ok = original(self, x, log)
+            if not ok and log:
+                failed_with_links.append(x)
+            return ok
+
+        monkeypatch.setattr(ballot._Search, "_contacts_ok", recorded)
+        tilings = ballot._Search(skew_region(a, b), 5, "II").run()
+        assert failed_with_links
+        assert [[s.boxes for s in t] for t in tilings] == [[((1, 0), (2, 1), (3, 2), (4, 1), (5, 0)), ((3, 0),)]]
+
+
 class TestTranspose:
     def test_transpose_symmetry(self):
         for n in range(1, 6):
@@ -219,6 +269,26 @@ class TestInversion:
         shape = Shape((2, 2))
         a = eta((0, 0), shape)
         assert q_polynomial(a, a, "I", "-", shape) * q_polynomial(a, a, "II", "-", shape) == ONE
+
+
+class TestClearCaches:
+    def test_memos_emptied_and_results_kept(self):
+        shape = Shape((2, 1, 1))
+        report = verify_inversion(shape)
+        hecke.kl_poly(parse_path("-+"), parse_path("+-"), "-")
+        sizes = clear_caches()
+        assert {
+            "ballot._q_polynomial_cached", "ballot.rule2_tilings", "basis.spade_vectors",
+            "basis.spade_vectors_solved", "basis.club_vectors", "basis.heart_vectors",
+            "basis.heart_vectors_solved", "basis.diamond_vectors", "hecke._MODULES",
+            "paths.heights", "paths._eta_images", "laurent.cyclotomic",
+            "laurent.quantum_int_factored", "laurent.two_cosh_factored",
+        } <= set(sizes)
+        for name in ("ballot._q_polynomial_cached", "ballot.rule2_tilings", "hecke._MODULES", "paths.heights"):
+            assert sizes[name] > 0, name
+        assert not any(clear_caches().values())
+        assert ballot._q_polynomial_cached.cache_info().currsize == 0
+        assert verify_inversion(shape) == report
 
 
 class TestRendering:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coidealbasis import checks, coideal
+from coidealbasis import ballot, checks, coideal
 from coidealbasis.cli import main
 
 
@@ -47,6 +47,30 @@ class TestSubcommands:
         data = json.loads(out)
         assert data["value"]["q_coeffs"] == {"-13": "-1", "-11": "-1", "-9": "-2", "-5": "-1"}
         assert len(data["configurations"]) == 5
+
+    def test_qpoly_path_of_two_down_steps(self, capsys):
+        # argparse hands the value of --alpha=-- over as []
+        code, out = run(capsys, "qpoly", "--alpha=--", "--beta=++", "--rule", "I")
+        assert code == 0
+        assert out == "Q = -q^-3\n\nconfiguration 1 (weight -q^-3):\n. c\na .\n. b\n"
+        code, out = run(capsys, "qpoly", "--alpha=++", "--beta=--", "--rule", "I", "--eps", "+")
+        assert code == 0
+        assert out.startswith("Q = -q^-3\n")
+
+    def test_qpoly_searches_once(self, capsys, monkeypatch):
+        ballot._q_polynomial_cached.cache_clear()
+        rules = []
+        search_init = ballot._Search.__init__
+
+        def recorded_init(self, region, last_col, rule):
+            rules.append(rule)
+            search_init(self, region, last_col, rule)
+
+        monkeypatch.setattr(ballot._Search, "__init__", recorded_init)
+        code, out = run(capsys, "qpoly", "--alpha=--++-+", "--beta=++++++", "--rule", "I")
+        assert code == 0
+        assert out.startswith("Q = -q^-5 - 2*q^-9 - q^-11 - q^-13\n")
+        assert rules == ["I"]
 
     def test_diagram(self, capsys):
         code, out = run(capsys, "diagram", "--shape", "3,4,4", "--k", "1,0,-2")
