@@ -52,13 +52,20 @@ def _parse_q0(text: str) -> Fraction:
     return q0
 
 
-class _PathOption(argparse.Action):
-    """Stores a path string.  Python 3.11's argparse removes a literal "--"
-    from an option's value, so --alpha=-- arrives as []; no other value
-    does, so [] is the path "--"."""
+class _Value(argparse.Action):
+    """Stores an option's value; the action of every value-taking option.
+
+    Python 3.11's argparse removes a literal "--" from an option's value, so
+    --opt=-- arrives as [] with neither the type nor the choices applied; no
+    other value does.  On the path options --alpha and --beta [] is the path
+    "--"; on any other option it is a usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, "--" if values == [] else values)
+        if values == []:
+            if self.dest not in ("alpha", "beta"):
+                raise argparse.ArgumentError(self, "expected one argument, got '--'")
+            values = "--"
+        setattr(namespace, self.dest, values)
 
 
 def _parse_count(text: str) -> int:
@@ -375,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.register("action", None, _Value)
         p.add_argument("--format", choices=("json", "csv", "ascii"), default="ascii")
         p.add_argument("--out", help="output path (stdout when omitted)")
         return p
@@ -385,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_klpoly)
 
     p = common(sub.add_parser("qpoly", help="strip generating function of a path pair"))
-    p.add_argument("--alpha", action=_PathOption, required=True)
-    p.add_argument("--beta", action=_PathOption, required=True)
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--beta", required=True)
     p.add_argument("--rule", choices=("I", "II"), required=True)
     p.add_argument("--eps", choices=("+", "-"), default="-")
     p.add_argument("--shape", type=_parse_shape, help="needed for rule II projection domains")

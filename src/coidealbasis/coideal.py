@@ -9,11 +9,13 @@ total sites) has polynomial components with positive bar-symmetric
 coefficients.  Those components are computed along four independent routes:
 
   * the diagram action formula solved as a linear system (ordered sparse
-    elimination over the rational-function field),
-  * the proof's induction along the action graph (explicit one- and
+    elimination over the rational-function field, the one route that leaves
+    Z[q, q^-1]),
+  * the proof's induction along the action graph, one exact sweep in
+    Z[q, q^-1] down from the known all-ascent component (one- and
     two-dimensional steps),
-  * the transition matrix applied to the explicit standard-basis
-    eigenvector, and
+  * the plus-side Kazhdan-Lusztig columns summed against the explicit
+    standard-basis eigenvector, and
   * a closed product formula over the diagram's arcs, dashed arcs, star and
     ascents.
 
@@ -31,16 +33,19 @@ from math import prod
 from .laurent import (
     CyclotomicProduct,
     LaurentPoly,
+    ONE,
     RationalFn,
     ZERO,
     add_term,
     quantum_int,
     quantum_int_factored,
+    two_cosh,
     two_cosh_factored,
 )
-from .paths import Shape
-from .basis import Diagram, build_diagram, diagram_from_string, r_lower_hecke
+from .paths import Shape, eta_images
+from .basis import Diagram, build_diagram, diagram_from_string
 from .quantum import TensorVector, project
+from . import hecke
 
 # ---------------------------------------------------------------------------
 # Y on standard bases
@@ -127,9 +132,7 @@ def y_matrix(shape: Shape):
     entries = {}
     for k in shape.indices():
         for coeff, d2 in y_on_diagram(build_diagram(k, shape)):
-            row = d2.index()
-            key = (row, k)
-            entries[key] = entries.get(key, ZERO) + coeff
+            add_term(entries, (d2.index(), k), coeff)
     return entries
 
 
@@ -257,33 +260,21 @@ class PsiVector:
 
 
 def _rows_for_eigenproblem(shape: Shape):
-    entries = y_matrix(shape)
-    idx = shape.indices()
-    lam = quantum_int(shape.total + 1)
-    rows = {k: {} for k in idx}
-    for (r, c), v in entries.items():
-        rows[r][c] = rows[r].get(c, ZERO) + v
-    for k in idx:
-        rows[k][k] = rows[k].get(k, ZERO) - lam
-        rows[k] = {c: v for c, v in rows[k].items() if not v.is_zero()}
+    """The sparse rows of Y - [L+1]: row -> {column: nonzero entry}."""
+    rows = {k: {} for k in shape.indices()}
+    for (r, c), v in y_matrix(shape).items():
+        rows[r][c] = v
+    shift = -quantum_int(shape.total + 1)
+    for k, row in rows.items():
+        add_term(row, k, shift)
     return rows
-
-
-def _normalise(shape: Shape, values: dict) -> PsiVector:
-    bottom = tuple(-m for m in shape.m)
-    scale = values[bottom]
-    if scale.is_zero():
-        raise ArithmeticError("bottom component vanished; not the top eigenvector")
-    comps = {}
-    for k, v in values.items():
-        comps[k] = (v / scale).reduced().as_poly()
-    return PsiVector(shape=shape.m, components=comps)
 
 
 def psi_by_elimination(shape: Shape) -> PsiVector:
     """Nullspace of (Y - [L+1]) by sparse Gaussian elimination over the
     rational-function field, eliminating variables in descending
-    lexicographic order."""
+    lexicographic order; the bottom component is the free variable, set
+    to 1."""
     rows = _rows_for_eigenproblem(shape)
     order = sorted(shape.indices(), reverse=True)
     work = {
@@ -328,65 +319,53 @@ def psi_by_elimination(shape: Shape) -> PsiVector:
         for c, v in expr.items():
             total = total - v * values[c]
         values[var] = total.reduced()
-    return _normalise(shape, values)
+    return PsiVector(shape=shape.m, components={k: v.as_poly() for k, v in values.items()})
 
 
 def psi_by_graph(shape: Shape) -> PsiVector:
-    """The proof's induction: resolve components from the lexicographic top
-    down, one vertex at a time when its inflow is known, or jointly with the
-    star-pairing partner when the two components feed each other."""
+    """The proof's induction in Z[q, q^-1]: start from the all-ascent
+    component prod_{j=1}^{N} (q^j + q^-j) and sweep once down the
+    lexicographic order.  Below its own index a row of Y - [L+1] has at
+    most one unresolved index, the star-pairing partner; a component is
+    solved alone when there is none, else jointly with the partner as a
+    2x2 block, each by exact division.  The bottom component must come out
+    as 1, which certifies the start: a wrong one leaves a remainder or
+    another bottom."""
     rows = _rows_for_eigenproblem(shape)
-    idx = shape.indices()
-    top = tuple(shape.m)
-    lam = quantum_int(shape.total + 1)
-    values = {top: RationalFn.from_int(1)}
-    unresolved = set(idx) - {top}
-    while unresolved:
-        progress = False
-        for k in sorted(unresolved, reverse=True):
-            row = rows[k]
-            missing = [c for c in row if c != k and c not in values]
-            if not missing:
-                inflow = RationalFn.from_int(0)
-                for c, v in row.items():
-                    if c != k:
-                        inflow = inflow + RationalFn.from_poly(v) * values[c]
-                diag = row.get(k, -lam)  # includes the -[L+1] shift
-                values[k] = (-(inflow) / RationalFn.from_poly(diag)).reduced()
-                unresolved.discard(k)
-                progress = True
-            elif len(missing) == 1:
-                p = missing[0]
-                if p not in unresolved:
-                    continue
-                prow = rows[p]
-                pmissing = [c for c in prow if c != p and c not in values and c != k]
-                if pmissing:
-                    continue
-                # two mutually feeding components: solve the 2x2 block
-                a_kk = RationalFn.from_poly(row.get(k, -lam))
-                a_kp = RationalFn.from_poly(row.get(p, ZERO))
-                a_pp = RationalFn.from_poly(prow.get(p, -lam))
-                a_pk = RationalFn.from_poly(prow.get(k, ZERO))
-                in_k = RationalFn.from_int(0)
-                for c, v in row.items():
-                    if c not in (k, p):
-                        in_k = in_k + RationalFn.from_poly(v) * values[c]
-                in_p = RationalFn.from_int(0)
-                for c, v in prow.items():
-                    if c not in (k, p):
-                        in_p = in_p + RationalFn.from_poly(v) * values[c]
-                det = a_kk * a_pp - a_kp * a_pk
-                if not det:
-                    continue
-                values[k] = ((a_kp * in_p - a_pp * in_k) / det).reduced()
-                values[p] = ((a_pk * in_k - a_kk * in_p) / det).reduced()
-                unresolved.discard(k)
-                unresolved.discard(p)
-                progress = True
-        if not progress:
-            raise RuntimeError("action graph did not resolve; structure violated")
-    return _normalise(shape, values)
+    values = {tuple(shape.m): prod((two_cosh(j) for j in range(1, shape.total + 1)), start=ONE)}
+
+    def rhs(k, p):
+        # minus row k's known part, over the columns other than k and p
+        total = ZERO
+        for c, v in rows[k].items():
+            if c != k and c != p:
+                total = total - v * values[c]
+        return total
+
+    for k in sorted(shape.indices(), reverse=True):
+        if k in values:
+            continue
+        row = rows[k]
+        missing = [c for c in row if c != k and c not in values]
+        if not missing:
+            values[k] = rhs(k, k).exact_div(row.get(k, ZERO))
+            continue
+        p = missing[0]
+        prow = rows[p]
+        if len(missing) > 1 or any(c not in values for c in prow if c != k and c != p):
+            raise RuntimeError(f"action graph did not resolve at {k}; structure violated")
+        a_kk, a_kp = row.get(k, ZERO), row[p]
+        a_pk, a_pp = prow.get(k, ZERO), prow.get(p, ZERO)
+        b_k, b_p = rhs(k, p), rhs(p, k)
+        det = a_kk * a_pp - a_kp * a_pk
+        values[k] = (a_pp * b_k - a_kp * b_p).exact_div(det)
+        values[p] = (a_kk * b_p - a_pk * b_k).exact_div(det)
+    bottom = tuple(-m for m in shape.m)
+    if values[bottom] != ONE:
+        raise ArithmeticError(
+            f"graph induction ended at bottom component {values[bottom]}, not 1; wrong start"
+        )
+    return PsiVector(shape=shape.m, components=values)
 
 
 def psi0_components(shape: Shape) -> dict:
@@ -403,16 +382,19 @@ def psi0_components(shape: Shape) -> dict:
 
 def psi_by_transition(shape: Shape) -> PsiVector:
     """The top eigenvector as (transition matrix)^T applied to the projected
-    standard-basis eigenvector; no reference to the action of Y."""
+    standard-basis eigenvector, with no reference to the action of Y:
+    component j sums the coefficients of the plus-side KL column at eta(j)
+    that sit at eta images eta(k), each under q -> -q times psi0[k]."""
     psi0 = psi0_components(shape)
-    rmat = r_lower_hecke(shape)
+    index_of = {path: k for k, path, _ in eta_images(shape)}
+    mod = hecke.module(shape.total, "+")
     comps = {}
-    for j in shape.indices():
+    for j, beta, _ in eta_images(shape):
         total = ZERO
-        for k in shape.indices():
-            c = rmat.entry(k, j)
-            if not c.is_zero():
-                total = total + c * psi0.get(k, ZERO)
+        for alpha, p in mod.kl_basis(beta).items():
+            k = index_of.get(alpha)
+            if k is not None:
+                total = total + p.subs_neg() * psi0.get(k, ZERO)
         comps[j] = total
     return PsiVector(shape=shape.m, components=comps)
 
@@ -666,7 +648,7 @@ def psi_solve(shape: Shape, routes=("elimination", "graph", "transition", "close
     image = {}
     for (r, c), v in entries.items():
         if c in ref.components:
-            image[r] = image.get(r, ZERO) + v * ref.components[c]
+            add_term(image, r, v * ref.components[c])
     eigen_ok = all(
         image.get(k, ZERO) == lam * ref.components[k] for k in shape.indices()
     )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,20 @@ from pathlib import Path
 import pytest
 
 from coidealbasis import ballot, checks, coideal
-from coidealbasis.cli import main
+from coidealbasis.cli import build_parser, main
+
+
+def _value_options():
+    """(subcommand, option, the subcommand's other required options) for
+    every value-taking option of every subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for name, parser in sub.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+        for a in options:
+            required = [b.option_strings[0] for b in options if b.required and b is not a]
+            out.append(pytest.param(name, a.option_strings[0], required, id=name + a.option_strings[0]))
+    return out
 
 
 def run(capsys, *argv):
@@ -175,6 +189,29 @@ class TestSubcommands:
         assert exc.value.code == 2
         assert err.startswith(f"usage: coidealbasis {name} ")
         assert err.splitlines()[-1].startswith(f"coidealbasis {name}: error: argument --")
+
+    # valid values for the options a subcommand requires
+    REQUIRED_VALUES = {"--n": "2", "--eps": "-", "--alpha": "++", "--beta": "++", "--rule": "I",
+                       "--shape": "2,2", "--k": "0,0"}
+
+    @pytest.mark.parametrize("name, option, required", _value_options())
+    def test_double_dash_value(self, capsys, name, option, required):
+        # argparse hands the value of --opt=-- over as []: the path "--" on
+        # qpoly's paths, a usage error on every other option
+        argv = [name] + [f"{o}={self.REQUIRED_VALUES[o]}" for o in required] + [f"{option}=--"]
+        if name == "qpoly" and option in ("--alpha", "--beta"):
+            if option == "--beta":
+                argv += ["--eps", "+"]
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert out.startswith("Q = -q^-3\n")
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: coidealbasis {name} ")
+        assert err.splitlines()[-1].startswith(f"coidealbasis {name}: error: argument {option}: ")
 
     def test_verify_failed_check_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "sum_table", lambda: checks.CheckReport(1, ["wrong table"]))

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from coidealbasis import checks
-from coidealbasis.basis import build_diagram, diagram_from_string
+from coidealbasis import checks, coideal, laurent
+from coidealbasis.basis import build_diagram, diagram_from_string, r_lower_hecke
 from coidealbasis.coideal import (
     bishop_sequence,
     case_number,
@@ -12,7 +16,9 @@ from coidealbasis.coideal import (
     pell,
     psi0_components,
     psi_by_closed_form,
+    psi_by_elimination,
     psi_by_graph,
+    psi_by_transition,
     psi_solve,
     spectrum,
     strip_blocks,
@@ -24,12 +30,13 @@ from coidealbasis.coideal import (
 from coidealbasis.laurent import (
     LaurentPoly,
     ONE,
+    ZERO,
     RationalFn,
     q_binomial,
     quantum_int,
     two_cosh,
 )
-from coidealbasis.paths import Shape
+from coidealbasis.paths import Shape, all_shapes
 from coidealbasis.quantum import TensorVector, act_y
 
 
@@ -182,6 +189,93 @@ class TestPsiRoutes:
     def test_psi0_top_is_monomial(self):
         comps = psi0_components(Shape((2, 2)))
         assert comps[(2, 2)] == LaurentPoly.q_power(1 + 2 + 3 + 4)
+
+
+def _with_extra_lower_entry(rows_for_eigenproblem):
+    """Rows of the unit shape on four sites with the bottom index added to a
+    row that already has a lower index: two unresolved partners."""
+
+    def rows(shape):
+        out = rows_for_eigenproblem(shape)
+        out[(1, 1, 1, -1)][(-1, -1, -1, -1)] = ONE
+        return out
+
+    return rows
+
+
+class TestRingRoutes:
+    """The graph and transition routes compute in Z[q, q^-1]."""
+
+    @pytest.mark.parametrize("m", [(1,) * 6, (2, 1, 2)])
+    def test_graph_route_makes_no_gcd(self, monkeypatch, m):
+        def refuse(*args):
+            raise AssertionError("the graph route left Z[q, q^-1]")
+
+        monkeypatch.setattr(laurent, "poly_gcd", refuse)
+        monkeypatch.setattr(RationalFn, "reduced", refuse)
+        assert psi_by_graph(Shape(m)).components == psi_by_closed_form(Shape(m)).components
+
+    @pytest.mark.parametrize("factor", [
+        lambda j: two_cosh(j) * 2,  # divisible throughout, wrong bottom
+        lambda j: two_cosh(j + 1),  # leaves a remainder
+    ])
+    def test_wrong_start_raises(self, monkeypatch, factor):
+        monkeypatch.setattr(coideal, "two_cosh", factor)
+        for m in [(1,) * 4, (2, 1, 2)]:
+            with pytest.raises(ArithmeticError):
+                psi_by_graph(Shape(m))
+
+    def test_extra_lower_entry_raises(self, monkeypatch):
+        monkeypatch.setattr(coideal, "_rows_for_eigenproblem",
+                            _with_extra_lower_entry(coideal._rows_for_eigenproblem))
+        with pytest.raises(RuntimeError, match="structure violated"):
+            psi_by_graph(Shape((1,) * 4))
+
+    def test_checks_fire_under_optimize(self):
+        # python -O strips asserts; both checks must be explicit raises
+        script = """
+from coidealbasis import coideal, laurent
+from coidealbasis.paths import Shape
+from test_coideal import _with_extra_lower_entry
+
+rows = coideal._rows_for_eigenproblem
+coideal._rows_for_eigenproblem = _with_extra_lower_entry(rows)
+try:
+    coideal.psi_by_graph(Shape((1,) * 4))
+except RuntimeError:
+    print("structure violated")
+coideal._rows_for_eigenproblem = rows
+coideal.two_cosh = lambda j: 2 * laurent.two_cosh(j)
+try:
+    coideal.psi_by_graph(Shape((1,) * 4))
+except ArithmeticError:
+    print("wrong start")
+"""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.stdout == "structure violated\nwrong start\n", proc.stderr
+
+    def test_transition_route_against_matrix(self):
+        # the reference: the whole lower KL transition matrix, transposed,
+        # applied to psi0
+        for shape in all_shapes(5):
+            psi0 = psi0_components(shape)
+            rmat = r_lower_hecke(shape)
+            expected = {}
+            for j in shape.indices():
+                total = ZERO
+                for k in shape.indices():
+                    total = total + rmat.entry(k, j) * psi0.get(k, ZERO)
+                expected[j] = total
+            assert psi_by_transition(shape).components == expected, shape.m
+
+    def test_ring_routes_match_elimination(self):
+        for shape in all_shapes(6):
+            reference = psi_by_elimination(shape).components
+            assert psi_by_graph(shape).components == reference, shape.m
+            assert psi_by_transition(shape).components == reference, shape.m
 
 
 class TestClosedFormExample:
