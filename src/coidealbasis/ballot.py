@@ -385,17 +385,20 @@ def enumerate_configs(alpha, beta, rule: str, eps: str, shape: Shape = None):
     comparable in that order raise ValueError."""
     if eps == "+":
         return enumerate_configs(beta, alpha, rule, "-", shape)
+    if rule not in ("I", "II"):
+        raise ValueError(f"rule must be 'I' or 'II', got {rule!r}")
+    if rule == "II":
+        if shape is None:
+            raise ValueError("rule II requires the shape (projection domains)")
+        if eta_inverse(alpha, shape) is None:
+            raise ValueError("lower path must be an eta image for the shape")
     if alpha == beta:
         return [StripConfig(strips=())]
     if not is_below(alpha, beta):
         raise ValueError("paths are not comparable in the requested order")
     if rule == "I":
         return rule1_configs(alpha, beta)
-    if rule == "II":
-        if shape is None:
-            raise ValueError("rule II requires the shape (projection domains)")
-        return rule2_configs(alpha, beta, shape)
-    raise ValueError(f"rule must be 'I' or 'II', got {rule!r}")
+    return rule2_configs(alpha, beta, shape)
 
 
 def weight_sum(configs, rule: str) -> LaurentPoly:

@@ -64,11 +64,11 @@ def strip_rules_match_kl(n: int) -> CheckReport:
     return rep
 
 
-def inversion(max_sites: int, jobs: int = 1) -> CheckReport:
+def inversion(max_sites: int) -> CheckReport:
     """Rule I against Rule II inversion per shape; counts the path pairs."""
     rep = CheckReport()
     for shape in all_shapes(max_sites):
-        inv = ballot.verify_inversion(shape, jobs=jobs)
+        inv = ballot.verify_inversion(shape)
         rep.count += inv.pairs_checked
         rep.failures += [(shape.m, f) for f in inv.failures]
     return rep

@@ -7,9 +7,7 @@ a `verify` subcommand running the checks of `checks` at small bounds.
 
 Outputs are deterministic: indices are emitted in ascending lexicographic
 order and polynomial coefficients in ascending exponent order.  Progress for
-long enumerations goes to stderr; stdout stays machine-parsable.  The
-environment variable COIDEALBASIS_THREADS sets the process count used by the
-embarrassingly parallel verification loops.
+long enumerations goes to stderr; stdout stays machine-parsable.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
@@ -72,13 +69,6 @@ def _parse_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("COIDEALBASIS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(args, payload_json, payload_text):
@@ -332,7 +322,6 @@ def cmd_verify(args):
 
     n = args.max_sites
     n4, n5, n6 = min(n, 4), min(n, 5), min(n, 6)
-    jobs = _jobs()
     units = [Shape((1,) * L) for L in range(1, n6 + 1)]
     spectra_shapes = [s for s in units + [Shape((2, 2)), Shape((3, 3))] if s.total <= n]
     psi_shapes = [s for s in units + [Shape((2, 2)), Shape((3, 2))] if s.total <= n]
@@ -342,7 +331,7 @@ def cmd_verify(args):
         ("telescoping identity (first)", lambda: checks.telescoping_one(3, 2, 2)),
         ("telescoping identity (second)", lambda: checks.telescoping_two(2, 2, 2)),
         (f"strip rules match KL oracle (N={n6})", lambda: checks.strip_rules_match_kl(n6)),
-        (f"strip-rule inversion (sites <= {n6})", lambda: checks.inversion(n6, jobs)),
+        (f"strip-rule inversion (sites <= {n6})", lambda: checks.inversion(n6)),
         (f"transition-matrix routes (sites <= {n5})",
          lambda: checks.transition_routes(n5), lambda: checks.ballot_matches_kl(n5)),
         (f"twisted involutions fix the bases (sites <= {n4})", lambda: checks.involutions_fix_bases(n4)),

@@ -50,10 +50,10 @@ class HeckeModule:
 
     Instances memoize bar images and bar-invariant basis elements without a
     lock.  The package itself runs in parallel only through processes
-    (COIDEALBASIS_THREADS starts a process pool, each worker with its own
-    instances), so the memo tables are never shared; a caller that uses one
-    instance from several threads must confine it to one of them.  Distinct
-    instances are independent.
+    (`ballot.verify_inversion` with jobs > 1 starts a process pool, each
+    worker with its own instances), so the memo tables are never shared; a
+    caller that uses one instance from several threads must confine it to
+    one of them.  Distinct instances are independent.
     """
 
     def __init__(self, n: int, eps: str):

@@ -119,76 +119,52 @@ class TensorVector:
 
 
 # ---------------------------------------------------------------------------
-# single-factor generator actions
+# generator actions through the comultiplication
 # ---------------------------------------------------------------------------
 
 
 def _act_factor(gen: str, dual: bool, m: int, a: int):
-    """List of (new_index, coefficient) for one generator on one factor."""
-    if gen == "K":
-        return [(a, LaurentPoly.q_power(a))]
-    if gen == "Kinv":
-        return [(a, LaurentPoly.q_power(-a))]
+    """E or F on the basis vector of weight a in V_m: (new weight, [n]), or
+    None when the image is zero."""
     if gen == "E":
         if a + 2 > m:
-            return []
-        c = quantum_int((m - a) // 2) if dual else quantum_int((m + a) // 2 + 1)
-        return [(a + 2, c)] if not c.is_zero() else []
-    if gen == "F":
-        if a - 2 < -m:
-            return []
-        c = quantum_int((m + a) // 2) if dual else quantum_int((m - a) // 2 + 1)
-        return [(a - 2, c)] if not c.is_zero() else []
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def _act_positions(vec: TensorVector, pos_terms) -> TensorVector:
-    """Apply a sum of terms; each term is a list of (position, generator)."""
-    out: dict = {}
-    for k, coeff in vec.terms.items():
-        for term in pos_terms:
-            images = [(k, coeff)]
-            for pos, g in term:
-                nxt = []
-                m = vec.shape[pos]
-                for idx, c in images:
-                    for a2, c2 in _act_factor(g, vec.dual, m, idx[pos]):
-                        nxt.append((idx[:pos] + (a2,) + idx[pos + 1 :], c * c2))
-                images = nxt
-                if not images:
-                    break
-            for idx, c in images:
-                add_term(out, idx, c)
-    return TensorVector(vec.shape, vec.dual, out)
-
-
-def _coproduct_terms(gen: str, cop: str, lo: int, hi: int):
-    """Iterated comultiplication of a generator over factor range [lo, hi)."""
-    n = hi - lo
-    if gen in ("K", "Kinv"):
-        return [[(p, gen) for p in range(lo, hi)]]
-    terms = []
-    for i in range(lo, hi):
-        if gen == "E":
-            if cop == "+":
-                term = [(p, "K") for p in range(lo, i)] + [(i, "E")]
-            else:
-                term = [(i, "E")] + [(p, "Kinv") for p in range(i + 1, hi)]
-        else:  # F
-            if cop == "+":
-                term = [(i, "F")] + [(p, "Kinv") for p in range(i + 1, hi)]
-            else:
-                term = [(p, "K") for p in range(lo, i)] + [(i, "F")]
-        terms.append(term)
-    return terms
+            return None
+        return a + 2, quantum_int((m - a) // 2 if dual else (m + a) // 2 + 1)
+    if a - 2 < -m:
+        return None
+    return a - 2, quantum_int((m + a) // 2 if dual else (m - a) // 2 + 1)
 
 
 def act(gen: str, vec: TensorVector, cop: str, lo: int = 0, hi: int = None) -> TensorVector:
     """Act by a generator through the iterated comultiplication Delta_cop on
-    the factor range [lo, hi)."""
+    the factor range [lo, hi).
+
+    K and K^-1 are grouplike: they multiply each coefficient by q^w and
+    q^-w, w the weight of the range.  E and F act on one factor i per term,
+    times K's on the factors [lo, i) for (E, '+') and (F, '-'), or K^-1's on
+    (i, hi) for (E, '-') and (F, '+'); those K's see weights the E or F
+    leaves alone, so a term is one image times one q-shift."""
+    if gen not in ("E", "F", "K", "Kinv"):
+        raise ValueError(f"unknown generator {gen!r}")
     if hi is None:
         hi = len(vec.shape)
-    return _act_positions(vec, _coproduct_terms(gen, cop, lo, hi))
+    if gen in ("K", "Kinv"):
+        sign = 1 if gen == "K" else -1
+        terms = {k: c.shift(sign * sum(k[lo:hi])) for k, c in vec.terms.items()}
+        return TensorVector(vec.shape, vec.dual, terms)
+    out: dict = {}
+    left = (gen == "E") == (cop == "+")
+    for k, c in vec.terms.items():
+        total = sum(k[lo:hi])
+        w = 0  # weight of the factors [lo, i)
+        for i in range(lo, hi):
+            a = k[i]
+            image = _act_factor(gen, vec.dual, vec.shape[i], a)
+            if image is not None:
+                shift = w if left else w + a - total
+                add_term(out, k[:i] + (image[0],) + k[i + 1 :], (c * image[1]).shift(shift))
+            w += a
+    return TensorVector(vec.shape, vec.dual, out)
 
 
 def divided_powers(gen: str, vec: TensorVector, cop: str, lo: int = 0, hi: int = None):
@@ -457,15 +433,22 @@ def project_lower(vec: TensorVector, target: Shape) -> TensorVector:
 
 def act_y(vec: TensorVector) -> TensorVector:
     """Y = F + q^-1 K E + K acting through its left-coideal comultiplication:
-    K's left of a local term (q^-1 KE + F), plus the grouplike tail."""
-    n = len(vec.shape)
-    ke_terms, other_terms = [], []
-    for i in range(n):
-        lefts = [(p, "K") for p in range(i)]
-        ke_terms.append(lefts + [(i, "E"), (i, "K")])
-        other_terms.append(lefts + [(i, "F")])
-    other_terms.append([(p, "K") for p in range(n)])
-    return _act_positions(vec, ke_terms).scale(QINV) + _act_positions(vec, other_terms)
+    K's left of a local term (q^-1 KE + F), plus the grouplike tail.
+
+    With w the weight left of factor i, the F image takes q^w; the K at i
+    acts after E, on the weight a + 2, so the q^-1 KE image takes q^(w+a+1);
+    the tail takes q^(total weight)."""
+    out: dict = {}
+    for k, c in vec.terms.items():
+        w = 0
+        for i, (m, a) in enumerate(zip(vec.shape, k)):
+            for gen, shift in (("F", w), ("E", w + a + 1)):
+                image = _act_factor(gen, vec.dual, m, a)
+                if image is not None:
+                    add_term(out, k[:i] + (image[0],) + k[i + 1 :], (c * image[1]).shift(shift))
+            w += a
+        add_term(out, k, c.shift(w))
+    return TensorVector(vec.shape, vec.dual, out)
 
 
 def pairing(lower: TensorVector, dual: TensorVector) -> LaurentPoly:

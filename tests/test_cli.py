@@ -171,6 +171,10 @@ class TestSubcommands:
         "sumrule --m 1 --L 99999999999999999999", "sumrule --mode table --m 99999999999999999999",
         "sumrule --mode pell --m 99999999999999999999", "sumrule --mode a000902 --L 99999999999999999999",
         "sumrule --m 1000000 --L 1",
+        # equal paths under Rule II: the shape and the eta image are still
+        # checked
+        "qpoly --alpha=+- --beta=+- --rule II --shape 2", "qpoly --alpha=+- --beta=+- --rule II",
+        "qpoly --alpha=+- --beta=+- --rule II --shape 1",
     ]
 
     @pytest.mark.parametrize("command", USAGE_ERRORS + INPUT_ERRORS)
@@ -245,7 +249,6 @@ class TestSubcommands:
         # rely on must hold as an explicit exception
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("COIDEALBASIS_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "coidealbasis.cli", "verify", "--max-sites", "4"],
             capture_output=True, text=True, env=env, timeout=300,

@@ -3,7 +3,7 @@ from itertools import count, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coidealbasis.laurent import LaurentPoly, ONE, Q, QINV, ZERO, quantum_factorial, quantum_int
+from coidealbasis.laurent import LaurentPoly, ONE, Q, QINV, ZERO, add_term, quantum_factorial, quantum_int
 from coidealbasis.paths import Shape
 from coidealbasis.quantum import (
     TensorVector,
@@ -29,17 +29,110 @@ def basis(shape, idx, dual=False):
 
 
 @st.composite
-def divided_power_cases(draw):
-    """A random vector on 1-3 factors, a generator, a coproduct sign and a
-    factor sub-range."""
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+def tensor_vectors(draw, max_factors):
+    """A random vector on 1 to max_factors factors of sizes 1-3, in either
+    standard basis."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_factors)))
     indices = list(product(*(range(-m, m + 1, 2) for m in shape)))
     coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5).filter(bool), min_size=1, max_size=3)
     terms = draw(st.dictionaries(st.sampled_from(indices), coeffs.map(LaurentPoly), max_size=4))
-    lo = draw(st.integers(0, len(shape) - 1))
-    hi = draw(st.integers(lo + 1, len(shape)))
-    vec = TensorVector(shape, draw(st.booleans()), terms)
+    return TensorVector(shape, draw(st.booleans()), terms)
+
+
+@st.composite
+def divided_power_cases(draw):
+    """A random vector on 1-3 factors, a generator, a coproduct sign and a
+    factor sub-range."""
+    vec = draw(tensor_vectors(3))
+    lo = draw(st.integers(0, len(vec.shape) - 1))
+    hi = draw(st.integers(lo + 1, len(vec.shape)))
     return vec, draw(st.sampled_from("EF")), draw(st.sampled_from("+-")), lo, hi
+
+
+@st.composite
+def action_cases(draw):
+    """A random vector on 1-6 factors, any generator, a coproduct sign and a
+    factor range [lo, hi), empty ranges included."""
+    vec = draw(tensor_vectors(6))
+    lo = draw(st.integers(0, len(vec.shape)))
+    hi = draw(st.integers(lo, len(vec.shape)))
+    return vec, draw(st.sampled_from(["E", "F", "K", "Kinv"])), draw(st.sampled_from("+-")), lo, hi
+
+
+# The per-factor route, the reference for act and act_y: a coproduct term is
+# a list of (position, generator), every K and K^-1 of it a generator of its
+# own, applied one factor at a time.
+
+
+def _ref_factor(gen, dual, m, a):
+    """List of (new_index, coefficient) for one generator on one factor."""
+    if gen == "K":
+        return [(a, LaurentPoly.q_power(a))]
+    if gen == "Kinv":
+        return [(a, LaurentPoly.q_power(-a))]
+    if gen == "E":
+        if a + 2 > m:
+            return []
+        c = quantum_int((m - a) // 2) if dual else quantum_int((m + a) // 2 + 1)
+        return [(a + 2, c)] if not c.is_zero() else []
+    if gen == "F":
+        if a - 2 < -m:
+            return []
+        c = quantum_int((m + a) // 2) if dual else quantum_int((m - a) // 2 + 1)
+        return [(a - 2, c)] if not c.is_zero() else []
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+def _ref_positions(vec, pos_terms):
+    """Apply a sum of terms; each term is a list of (position, generator)."""
+    out = {}
+    for k, coeff in vec.terms.items():
+        for term in pos_terms:
+            images = [(k, coeff)]
+            for pos, g in term:
+                nxt = []
+                m = vec.shape[pos]
+                for idx, c in images:
+                    for a2, c2 in _ref_factor(g, vec.dual, m, idx[pos]):
+                        nxt.append((idx[:pos] + (a2,) + idx[pos + 1 :], c * c2))
+                images = nxt
+                if not images:
+                    break
+            for idx, c in images:
+                add_term(out, idx, c)
+    return TensorVector(vec.shape, vec.dual, out)
+
+
+def _ref_coproduct_terms(gen, cop, lo, hi):
+    """Iterated comultiplication of a generator over factor range [lo, hi)."""
+    if gen in ("K", "Kinv"):
+        return [[(p, gen) for p in range(lo, hi)]]
+    terms = []
+    for i in range(lo, hi):
+        if gen == "E":
+            if cop == "+":
+                term = [(p, "K") for p in range(lo, i)] + [(i, "E")]
+            else:
+                term = [(i, "E")] + [(p, "Kinv") for p in range(i + 1, hi)]
+        else:  # F
+            if cop == "+":
+                term = [(i, "F")] + [(p, "Kinv") for p in range(i + 1, hi)]
+            else:
+                term = [(p, "K") for p in range(lo, i)] + [(i, "F")]
+        terms.append(term)
+    return terms
+
+
+def _ref_act_y(vec):
+    """Y = F + q^-1 KE + K: K's left of a local term, plus the grouplike tail."""
+    n = len(vec.shape)
+    ke_terms, other_terms = [], []
+    for i in range(n):
+        lefts = [(p, "K") for p in range(i)]
+        ke_terms.append(lefts + [(i, "E"), (i, "K")])
+        other_terms.append(lefts + [(i, "F")])
+    other_terms.append([(p, "K") for p in range(n)])
+    return _ref_positions(vec, ke_terms).scale(QINV) + _ref_positions(vec, other_terms)
 
 
 def random_vector(shape, dual, seed=3):
@@ -87,6 +180,21 @@ class TestSingleFactor:
 
 
 class TestCoproducts:
+    @given(action_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_act_matches_per_factor_route(self, case):
+        vec, gen, cop, lo, hi = case
+        assert act(gen, vec, cop, lo, hi) == _ref_positions(vec, _ref_coproduct_terms(gen, cop, lo, hi))
+
+    @given(tensor_vectors(6))
+    @settings(max_examples=150, deadline=None)
+    def test_act_y_matches_per_factor_route(self, vec):
+        assert act_y(vec) == _ref_act_y(vec)
+
+    def test_unknown_generator_raises(self):
+        with pytest.raises(ValueError, match="unknown generator"):
+            act("H", basis((1,), (1,)), "+")
+
     @pytest.mark.parametrize("cop", ["+", "-"])
     def test_comultiplication_is_algebra_map(self, cop):
         # check [E, F] = (K - K^-1)/(q-q^-1) through the coproduct action
